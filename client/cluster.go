@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,8 +36,9 @@ import (
 // owner's xtp listener (one pipelined connection per node). All other
 // calls stay on HTTP. A Cluster is safe for concurrent use.
 type Cluster struct {
-	seeds []string
-	proto *Client // carries the shared options; never issues requests itself
+	seeds  []string
+	proto  *Client          // carries the shared options; never issues requests itself
+	follow cluster.Follower // the retry policy every routed call runs under
 
 	mu   sync.Mutex
 	ring *cluster.Ring      // nil until the first successful fetch
@@ -70,6 +70,14 @@ func NewCluster(seeds []string, opts ...Option) (*Cluster, error) {
 			s = "http://" + s
 		}
 		cl.seeds = append(cl.seeds, strings.TrimRight(s, "/"))
+	}
+	cl.follow = cluster.Follower{
+		Attempts: 1 + proto.retries,
+		Delay: func(n int) time.Duration {
+			return retryDelay(n, proto.backoff, proto.backoffCap, jitter)
+		},
+		Ring:    cl.view,
+		Refresh: func(ctx context.Context) { cl.Refresh(ctx) },
 	}
 	return cl, nil
 }
@@ -126,10 +134,7 @@ func (cl *Cluster) Refresh(ctx context.Context) error {
 		}
 		cl.adoptRing(r)
 	}
-	cl.mu.Lock()
-	ok := cl.ring != nil
-	cl.mu.Unlock()
-	if ok {
+	if cl.view() != nil {
 		return nil
 	}
 	if lastErr == nil {
@@ -152,12 +157,28 @@ func (cl *Cluster) adoptRing(r api.Ring) {
 // Ring returns the client's current view of the partition ring; ok is
 // false before the first successful fetch.
 func (cl *Cluster) Ring() (api.Ring, bool) {
+	if r := cl.view(); r != nil {
+		return r.Ring, true
+	}
+	return api.Ring{}, false
+}
+
+// view returns the held ring, nil before the first successful fetch.
+func (cl *Cluster) view() *cluster.Ring {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.ring == nil {
-		return api.Ring{}, false
+	return cl.ring
+}
+
+// fetched returns the held ring, fetching it first if none is held yet.
+func (cl *Cluster) fetched(ctx context.Context) (*cluster.Ring, error) {
+	if r := cl.view(); r != nil {
+		return r, nil
 	}
-	return cl.ring.Ring, true
+	if err := cl.Refresh(ctx); err != nil {
+		return nil, err
+	}
+	return cl.view(), nil
 }
 
 // routingKey is the store key ownership hashes: the configured tenant's
@@ -173,16 +194,9 @@ func (cl *Cluster) routingKey(name string) string {
 // owner resolves name's owning node under the current ring, fetching the
 // ring first if none is held yet.
 func (cl *Cluster) owner(ctx context.Context, name string) (api.RingNode, error) {
-	cl.mu.Lock()
-	r := cl.ring
-	cl.mu.Unlock()
-	if r == nil {
-		if err := cl.Refresh(ctx); err != nil {
-			return api.RingNode{}, err
-		}
-		cl.mu.Lock()
-		r = cl.ring
-		cl.mu.Unlock()
+	r, err := cl.fetched(ctx)
+	if err != nil {
+		return api.RingNode{}, err
 	}
 	n, ok := r.Owner(cl.routingKey(name))
 	if !ok {
@@ -212,9 +226,13 @@ func (cl *Cluster) nodeClient(base string) *Client {
 	return c
 }
 
-// nodeXTP returns the cached xtp client for a node's xtp address,
+// nodeXTP returns the cached xtp client for a node's xtp listener,
 // dialing on first use.
-func (cl *Cluster) nodeXTP(addr string) (*XTP, error) {
+func (cl *Cluster) nodeXTP(n api.RingNode) (*XTP, error) {
+	addr := n.XTP
+	if addr == "" {
+		return nil, api.Errorf(api.CodeUnavailable, "node %s serves no xtp listener", n.HTTP)
+	}
 	cl.mu.Lock()
 	x, ok := cl.xs[addr]
 	cl.mu.Unlock()
@@ -240,70 +258,21 @@ func (cl *Cluster) nodeXTP(addr string) (*XTP, error) {
 	return x, nil
 }
 
-// doRouted runs fn against name's owner, retrying with re-routing: a
-// typed moved error redirects the next attempt to the node the error
-// names (and refreshes the ring, so the attempt after that routes right
-// from the hash); unavailable and transport errors drop back to ring
-// routing after a refresh. Attempts beyond the first sleep the same
-// jittered, capped backoff as Client. Non-retryable API errors (parse
+// doRouted runs fn against the HTTP client of name's owner under the
+// shared moved-following loop (cluster.Follower.Do): a moved error
+// redirects the next attempt to the node it names, unavailable and
+// transport errors re-resolve the owner, each after a ring refresh and the
+// same jittered, capped backoff as Client. Other typed errors (parse
 // errors, not found, unauthorized) return immediately.
 func (cl *Cluster) doRouted(ctx context.Context, name string, fn func(c *Client) error) error {
-	attempts := 1 + cl.proto.retries
-	var override string // owner base URL from a moved hint
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(retryDelay(attempt, cl.proto.backoff, cl.proto.backoffCap, jitter)):
-			}
-		}
-		var c *Client
-		if override != "" {
-			c = cl.nodeClient(override)
-		} else {
-			n, err := cl.owner(ctx, name)
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return ctxErr
-				}
-				lastErr = err
-				continue
-			}
-			c = cl.nodeClient(n.HTTP)
-		}
-		err := fn(c)
-		if err == nil {
-			return nil
-		}
-		var ae *api.Error
-		switch {
-		case errors.As(err, &ae) && ae.Code == api.CodeMoved:
-			// Ownership flipped under us. Follow the hint for the next
-			// attempt and refresh the ring in the background of the backoff
-			// so the attempt after next routes from the hash again — if two
-			// nodes point at each other (a desynced rebalance window), the
-			// refreshed ring breaks the cycle instead of ping-ponging.
-			override = ""
-			if d, ok := ae.MovedDetail(); ok && d.Owner != "" {
-				override = d.Owner
-			}
-			cl.Refresh(ctx)
-		case errors.As(err, &ae) && ae.Code == api.CodeUnavailable:
-			override = ""
-			cl.Refresh(ctx)
-		case errors.As(err, &ae):
-			return err // typed and not retryable
-		case ctx.Err() != nil:
-			return ctx.Err()
-		default:
-			override = "" // transport-level failure: re-resolve the owner
-			cl.Refresh(ctx)
-		}
-		lastErr = err
-	}
-	return lastErr
+	return cl.follow.Do(ctx, cl.ownerOf(ctx, name), func(n api.RingNode) error {
+		return fn(cl.nodeClient(n.HTTP))
+	})
+}
+
+// ownerOf binds owner to one call's name for cluster.Follower.Do.
+func (cl *Cluster) ownerOf(ctx context.Context, name string) func() (api.RingNode, error) {
+	return func() (api.RingNode, error) { return cl.owner(ctx, name) }
 }
 
 // Health probes any reachable node (the first active ring member).
@@ -344,16 +313,9 @@ func (cl *Cluster) Delete(ctx context.Context, name string) error {
 // slice. Nodes list only the synopses they own (standby replicas are
 // hidden), so the merge is duplicate-free by construction.
 func (cl *Cluster) List(ctx context.Context) ([]api.SynopsisInfo, error) {
-	cl.mu.Lock()
-	r := cl.ring
-	cl.mu.Unlock()
-	if r == nil {
-		if err := cl.Refresh(ctx); err != nil {
-			return nil, err
-		}
-		cl.mu.Lock()
-		r = cl.ring
-		cl.mu.Unlock()
+	r, err := cl.fetched(ctx)
+	if err != nil {
+		return nil, err
 	}
 	var out []api.SynopsisInfo
 	for _, n := range r.Nodes {
@@ -399,19 +361,20 @@ type ClusterSynopsis struct {
 // EstimateBatch implements xseed.Estimator: the batch goes whole to the
 // synopsis's owning node (a batch addresses one synopsis, so it never
 // splits), over xtp when the cluster was built WithXTPEstimates, HTTP
-// otherwise. Moved redirects re-route per doRouted either way.
+// otherwise. Moved redirects re-route per doRouted either way: a hint
+// resolves to the owner's ring entry, so an xtp estimate follows it to the
+// owner's xtp listener.
 func (s *ClusterSynopsis) EstimateBatch(ctx context.Context, queries []string) ([]xseed.Result, error) {
 	var out []xseed.Result
-	if s.cl.proto.xtpEst {
-		err := s.cl.doRoutedXTP(ctx, s.name, func(x *XTP) error {
-			var err error
-			out, err = x.Synopsis(s.name).EstimateBatch(ctx, queries)
+	err := s.cl.follow.Do(ctx, s.cl.ownerOf(ctx, s.name), func(n api.RingNode) error {
+		if s.cl.proto.xtpEst {
+			x, err := s.cl.nodeXTP(n)
+			if err == nil {
+				out, err = x.Synopsis(s.name).EstimateBatch(ctx, queries)
+			}
 			return err
-		})
-		return out, err
-	}
-	err := s.cl.doRouted(ctx, s.name, func(c *Client) error {
-		resp, err := c.Estimate(ctx, s.name, api.EstimateRequest{Queries: queries})
+		}
+		resp, err := s.cl.nodeClient(n.HTTP).Estimate(ctx, s.name, api.EstimateRequest{Queries: queries})
 		if err != nil {
 			return err
 		}
@@ -446,94 +409,6 @@ func (s *ClusterSynopsis) FeedbackBatch(ctx context.Context, items []xseed.Feedb
 		return nil, err
 	}
 	return feedbackErrsFromItems(resp.Results, len(items))
-}
-
-// doRoutedXTP is doRouted over the binary transport: resolve the owner,
-// run fn against its xtp client, re-route on moved / unavailable /
-// transport errors. A moved hint names the owner's HTTP base, so the
-// hinted node is resolved back to its ring entry to find the xtp
-// address.
-func (cl *Cluster) doRoutedXTP(ctx context.Context, name string, fn func(x *XTP) error) error {
-	attempts := 1 + cl.proto.retries
-	var overrideXTP string // xtp addr resolved from a moved hint
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(retryDelay(attempt, cl.proto.backoff, cl.proto.backoffCap, jitter)):
-			}
-		}
-		addr := overrideXTP
-		if addr == "" {
-			n, err := cl.owner(ctx, name)
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return ctxErr
-				}
-				lastErr = err
-				continue
-			}
-			if n.XTP == "" {
-				return api.Errorf(api.CodeUnavailable, "node %s serves no xtp listener", n.ID)
-			}
-			addr = n.XTP
-		}
-		x, err := cl.nodeXTP(addr)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return ctxErr
-			}
-			overrideXTP = ""
-			cl.Refresh(ctx)
-			lastErr = err
-			continue
-		}
-		err = fn(x)
-		if err == nil {
-			return nil
-		}
-		var ae *api.Error
-		switch {
-		case errors.As(err, &ae) && ae.Code == api.CodeMoved:
-			overrideXTP = ""
-			if d, ok := ae.MovedDetail(); ok && d.Owner != "" {
-				overrideXTP = cl.xtpAddrFor(d.Owner)
-			}
-			cl.Refresh(ctx)
-		case errors.As(err, &ae) && ae.Code == api.CodeUnavailable:
-			overrideXTP = ""
-			cl.Refresh(ctx)
-		case errors.As(err, &ae):
-			return err
-		case ctx.Err() != nil:
-			return ctx.Err()
-		default:
-			overrideXTP = ""
-			cl.Refresh(ctx)
-		}
-		lastErr = err
-	}
-	return lastErr
-}
-
-// xtpAddrFor maps a moved hint (an HTTP base URL) back to that node's
-// xtp address via the current ring; "" when the node is unknown, which
-// drops the next attempt back to hash routing.
-func (cl *Cluster) xtpAddrFor(httpBase string) string {
-	host := strings.TrimRight(strings.TrimPrefix(strings.TrimPrefix(httpBase, "http://"), "https://"), "/")
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.ring == nil {
-		return ""
-	}
-	for _, n := range cl.ring.Nodes {
-		if n.HTTP == host {
-			return n.XTP
-		}
-	}
-	return ""
 }
 
 var _ xseed.Estimator = (*ClusterSynopsis)(nil)

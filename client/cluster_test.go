@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"xseed/api"
+	"xseed/internal/wire"
 )
 
 // ringSeed serves /v1/cluster/ring from a swappable api.Ring and counts
@@ -237,5 +239,75 @@ func TestClusterTenantChangesRouting(t *testing.T) {
 	cl2, _ := NewCluster([]string{"http://127.0.0.1:1"})
 	if got := cl2.routingKey("s"); got != "s" {
 		t.Fatalf("default routingKey = %q", got)
+	}
+}
+
+// movedXTPNode is a fake xtp listener that refuses every request with a
+// typed moved error naming owner (an HTTP base URL), counting refusals.
+func movedXTPNode(t *testing.T, owner string) (string, *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var hits atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if _, err := wire.ReadHandshake(c); err != nil {
+					return
+				}
+				if err := wire.WriteHandshake(c, wire.Version); err != nil {
+					return
+				}
+				r, w := wire.NewReader(c), wire.NewWriter(c)
+				for {
+					f, err := r.ReadFrame()
+					if err != nil {
+						return
+					}
+					hits.Add(1)
+					w.WriteFrame(wire.FrameError, f.Corr, wire.AppendError(nil, api.NewMovedError("fig2", owner, 2)))
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), &hits
+}
+
+// TestClusterXTPFollowsMovedHint: with WithXTPEstimates, a moved hint — an
+// HTTP base URL — resolves to the owner's ring entry, so the retry lands on
+// the owner's xtp listener rather than on its HTTP address.
+func TestClusterXTPFollowsMovedHint(t *testing.T) {
+	_, bXTP := newXTPBackend(t, nil)
+	const bHTTP = "127.0.0.1:1" // never dialed: estimates ride xtp
+	aXTP, aHits := movedXTPNode(t, "http://"+bHTTP)
+	// b is still joining, so a owns every key by the hash; but ownership
+	// has flipped to b, and the ring already lists b's listeners.
+	seed := newRingSeed(t, api.Ring{Epoch: 1, Nodes: []api.RingNode{
+		{ID: "a", HTTP: "127.0.0.1:2", XTP: aXTP, State: api.RingStateActive},
+		{ID: "b", HTTP: bHTTP, XTP: bXTP, State: api.RingStateJoining},
+	}})
+	cl, err := NewCluster([]string{seed.srv.URL}, WithXTPEstimates(),
+		WithRetry(3, time.Millisecond), WithRetryCap(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.Synopsis("fig2").EstimateBatch(context.Background(), []string{"/a/c/s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Err != nil || res[0].Estimate <= 0 {
+		t.Fatalf("results = %+v", res)
+	}
+	if aHits.Load() != 1 {
+		t.Fatalf("refusing node saw %d requests, want 1", aHits.Load())
 	}
 }

@@ -369,3 +369,26 @@ func TestConformanceFeedbackBatchAuthAndQuotaParity(t *testing.T) {
 		t.Fatalf("xtp dial with bad token = %v, want typed %s", xerr, api.CodeUnauthorized)
 	}
 }
+
+// TestConformanceEmptyInputParity: an empty estimate batch and an empty
+// feedback query are the same whole-request bad_request on every
+// transport — never an empty success, never a parse error.
+func TestConformanceEmptyInputParity(t *testing.T) {
+	for name, tr := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			est := tr.bind("fig2")
+			var apiErr *api.Error
+			if res, err := est.EstimateBatch(ctx, []string{}); !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+				t.Fatalf("empty batch = %v, %v, want typed %s", res, err, api.CodeBadRequest)
+			}
+			err := est.Feedback(ctx, "", 1)
+			if err == nil {
+				err = tr.flush(ctx)
+			}
+			if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+				t.Fatalf("empty feedback query = %v, want typed %s", err, api.CodeBadRequest)
+			}
+		})
+	}
+}

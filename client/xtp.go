@@ -263,6 +263,11 @@ func (x *XTP) EstimateBatch(ctx context.Context, queries []string) ([]xseed.Resu
 	if x.synopsis == "" {
 		return nil, fmt.Errorf("client: no synopsis bound (use Synopsis(name) or WithXTPSynopsis)")
 	}
+	// A call whose context is already done sends nothing, as on HTTP; sent,
+	// its response could win the select below against ctx.Done.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cn, err := x.getConn()
 	if err != nil {
 		return nil, err
@@ -618,10 +623,11 @@ func (cn *xconn) readLoop() {
 	}
 }
 
-// settleFeedback consumes one FeedbackAck: return the window slot, record
-// any error for Flush.
+// settleFeedback consumes one FeedbackAck: record any error for Flush, then
+// return the window slot — in that order, because a Flush that has drained
+// the window must find the error.
 func (cn *xconn) settleFeedback(f wire.Frame) {
-	<-cn.fbTokens
+	defer func() { <-cn.fbTokens }()
 	switch f.Type {
 	case wire.FrameFeedbackAck:
 		ae, err := wire.DecodeFeedbackAck(f.Payload)

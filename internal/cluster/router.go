@@ -54,6 +54,8 @@ type Router struct {
 
 	ring     atomic.Pointer[Ring]
 	ringJSON atomic.Pointer[[]byte]
+
+	follow Follower // the proxy's retry policy
 }
 
 // NewRouter builds a router over the configured topology. All nodes start
@@ -67,6 +69,13 @@ func NewRouter(cfg Config, lg *slog.Logger) *Router {
 	}
 	for _, n := range cfg.Nodes {
 		rt.members = append(rt.members, &member{cfg: n, state: "down"})
+	}
+	// No Refresh: the health loop owns the ring, so a retry simply re-reads
+	// whatever it last published.
+	rt.follow = Follower{
+		Attempts: proxyRetries,
+		Delay:    func(int) time.Duration { return proxyBackoff },
+		Ring:     rt.ring.Load,
 	}
 	return rt
 }
@@ -305,8 +314,8 @@ const (
 const maxProxyBody = 256 << 20
 
 // proxy forwards one request to the node that owns its synopsis, following
-// moved redirects and retrying around node failures. The body is buffered
-// once so every retry replays identical bytes.
+// moved redirects and retrying around node failures (Follower.Do). The body
+// is buffered once so every retry replays identical bytes.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
 	if err != nil {
@@ -318,58 +327,40 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := synopsisName(r, body)
-	override := "" // owner address learned from a moved redirect
-	var lastErr error
-	for attempt := 0; attempt < proxyRetries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-r.Context().Done():
-				api.WriteError(w, api.WrapError(r.Context().Err(), api.CodeCanceled))
-				return
-			case <-time.After(proxyBackoff):
-			}
+	owner := func() (api.RingNode, error) {
+		if n, ok := rt.route(name); ok {
+			return n, nil
 		}
-		base := override
-		if base == "" {
-			node, ok := rt.route(name)
-			if !ok {
-				lastErr = errors.New("no active nodes")
-				continue
-			}
-			base = "http://" + node.HTTP
-		}
-		resp, err := rt.forward(r, base, body)
+		return api.RingNode{}, errors.New("no active nodes")
+	}
+	err = rt.follow.Do(r.Context(), owner, func(n api.RingNode) error {
+		resp, err := rt.forward(r, "http://"+n.HTTP, body)
 		if err != nil {
-			lastErr = err
-			override = ""
-			continue
+			return err
 		}
-		switch {
-		case resp.StatusCode == http.StatusMisdirectedRequest:
-			// The node knows better than our default-tenant guess (or the
-			// ring moved under us): follow its owner hint once, then fall
-			// back to re-resolving.
+		switch resp.StatusCode {
+		case http.StatusMisdirectedRequest, http.StatusBadGateway,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			// The node knows better than our default-tenant guess (or the ring
+			// moved under us), or it is failing: a moved body's owner hint is
+			// followed once, the rest fall back to the ring owner.
 			respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 			resp.Body.Close()
-			override = ""
-			if d, ok := api.DecodeErrorBody(resp.StatusCode, respBody).MovedDetail(); ok && d.Owner != "" {
-				override = d.Owner
+			if resp.StatusCode == http.StatusMisdirectedRequest {
+				return api.DecodeErrorBody(resp.StatusCode, respBody)
 			}
-			lastErr = fmt.Errorf("moved (epoch race), owner hint %q", override)
-			continue
-		case resp.StatusCode == http.StatusBadGateway ||
-			resp.StatusCode == http.StatusServiceUnavailable ||
-			resp.StatusCode == http.StatusGatewayTimeout:
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			override = ""
-			lastErr = fmt.Errorf("%s from %s", resp.Status, base)
-			continue
+			return api.Errorf(api.CodeUnavailable, "%s from %s", resp.Status, n.HTTP)
 		}
 		copyResponse(w, resp)
-		return
+		return nil
+	})
+	switch {
+	case err == nil:
+	case r.Context().Err() != nil:
+		api.WriteError(w, api.WrapError(r.Context().Err(), api.CodeCanceled))
+	default:
+		api.WriteError(w, api.Errorf(api.CodeUnavailable, "no node could serve the request: %v", err))
 	}
-	api.WriteError(w, api.Errorf(api.CodeUnavailable, "no node could serve the request: %v", lastErr))
 }
 
 // route picks the first-guess node for a request: the ring owner of the

@@ -1,15 +1,12 @@
 // Package logx is the small slog toolkit shared by xseedd's serving and
 // storage layers: a discard logger (slog.DiscardHandler is Go 1.24+; this
-// module supports 1.22), a bridge that lets the legacy *log.Logger
-// configuration field keep working, and the -log-format/-log-level flag
-// constructor.
+// module supports 1.22) and the -log-format/-log-level flag constructor.
 package logx
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"strings"
 )
@@ -23,52 +20,6 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// Bridge wraps a legacy *log.Logger as a slog.Logger: records render as the
-// message followed by key=value pairs and go through l.Printf, so callers
-// that configured Config.Log (tests capturing output, callers with a shared
-// log.Logger) keep seeing every line. Level filtering is the caller's
-// problem — the bridge passes everything, like log.Logger always did.
-func Bridge(l *log.Logger) *slog.Logger {
-	return slog.New(&bridgeHandler{l: l})
-}
-
-type bridgeHandler struct {
-	l     *log.Logger
-	attrs []slog.Attr
-}
-
-func (h *bridgeHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *bridgeHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Message)
-	writeAttr := func(a slog.Attr) bool {
-		if a.Equal(slog.Attr{}) {
-			return true
-		}
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Resolve())
-		return true
-	}
-	for _, a := range h.attrs {
-		writeAttr(a)
-	}
-	rec.Attrs(writeAttr)
-	h.l.Printf("%s", b.String())
-	return nil
-}
-
-func (h *bridgeHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	n := &bridgeHandler{l: h.l}
-	n.attrs = append(append(n.attrs, h.attrs...), attrs...)
-	return n
-}
-
-func (h *bridgeHandler) WithGroup(name string) slog.Handler {
-	// Flat output: groups are rare in this codebase; prefixing would be the
-	// refinement if they appear.
-	return h
-}
 
 // New builds a logger from the daemon's -log-format and -log-level flag
 // values. format is "text" or "json"; level is "debug", "info", "warn", or

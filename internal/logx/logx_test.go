@@ -3,22 +3,9 @@ package logx
 import (
 	"bytes"
 	"encoding/json"
-	"log"
 	"strings"
 	"testing"
 )
-
-func TestBridgeRendersAttrs(t *testing.T) {
-	var buf bytes.Buffer
-	lg := Bridge(log.New(&buf, "xseedd: ", 0))
-	lg.With("synopsis", "xmark").Warn("persist failed", "err", "disk full", "gen", 3)
-	got := buf.String()
-	for _, want := range []string{"xseedd: ", "persist failed", "synopsis=xmark", "err=disk full", "gen=3"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("bridge output %q missing %q", got, want)
-		}
-	}
-}
 
 func TestDiscardDropsEverything(t *testing.T) {
 	Discard().Error("nothing happens") // must not panic or write anywhere

@@ -286,7 +286,7 @@ func BenchmarkEstimateMultiTenant(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			ten := i % len(keys)
-			if !tens[ten].allow() {
+			if !tens[ten].allowN(1) {
 				b.Error("rate limiter rejected a benchmark request")
 				return
 			}

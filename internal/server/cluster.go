@@ -44,39 +44,17 @@ func (s *Server) attachCluster(opts *ClusterOptions) error {
 		return err
 	}
 	s.cl = mgr
+	s.svc.cl = mgr // the xtp listener shares s.svc, so it gains ownership too
 	s.replAddr = node.Repl
 	s.replSrv = cluster.NewReplServer(opts.NodeID, host, mgr.RingJSON, s.log)
-	if s.xtp != nil {
-		s.xtp.AttachCluster(s.ownerCheck, mgr.RingJSON)
-	}
 	return nil
-}
-
-// ownerCheck gates a data-path request on partition ownership: nil when
-// this node owns key (or the server is not clustered / the ring is not
-// yet known — bootstrap serves locally), a typed moved error naming the
-// owner otherwise.
-func (s *Server) ownerCheck(key string) *api.Error {
-	if s.cl == nil {
-		return nil
-	}
-	owner, epoch, known := s.cl.Owner(key)
-	if !known || owner.ID == s.cl.Self() {
-		return nil
-	}
-	_, bare := store.SplitKey(key)
-	return api.NewMovedError(bare, "http://"+owner.HTTP, epoch)
 }
 
 // handleClusterRing serves this node's view of the partition ring.
 func (s *Server) handleClusterRing(w http.ResponseWriter, r *http.Request) {
-	if s.cl == nil {
-		writeAPIError(w, r, api.Errorf(api.CodeConflict, "server is not part of a cluster (start with -cluster)"))
-		return
-	}
-	data, ok := s.cl.RingJSON()
-	if !ok {
-		writeAPIError(w, r, api.Errorf(api.CodeUnavailable, "ring not yet known"))
+	data, aerr := s.svc.ring()
+	if aerr != nil {
+		writeAPIError(w, r, aerr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

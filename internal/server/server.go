@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -19,7 +18,6 @@ import (
 	"xseed"
 	"xseed/api"
 	"xseed/internal/cluster"
-	"xseed/internal/logx"
 	"xseed/internal/obs"
 	"xseed/internal/store"
 )
@@ -66,14 +64,9 @@ type Config struct {
 	// mux, so reaching the API does not grant heap dumps and CPU profiles.
 	PprofAddr string
 
-	// Logger is the server's structured logger. Nil falls back to Log
-	// (bridged), then to a text slog logger on stderr.
+	// Logger is the server's structured logger. Nil means a text slog
+	// logger on stderr.
 	Logger *slog.Logger
-
-	// Log is the legacy logger field, kept working for existing callers
-	// and tests: when Logger is nil, records are rendered as
-	// "msg key=value ..." lines through it.
-	Log *log.Logger
 
 	// Metrics receives every metric family the server and its registry,
 	// cache, and store register, and backs GET /metrics. Nil means a fresh
@@ -101,6 +94,7 @@ type Config struct {
 // the public xseed/api package; handlers marshal only api types.
 type Server struct {
 	reg       *Registry
+	svc       *service // the operations both transports serve
 	http      *http.Server
 	xtp       *XTP   // nil unless Config.XTPAddr was set
 	xtpAddr   string // requested xtp listen address
@@ -130,11 +124,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		if cfg.Log != nil {
-			logger = logx.Bridge(cfg.Log)
-		} else {
-			logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-		}
+		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	om := cfg.Metrics
 	if om == nil {
@@ -158,11 +148,12 @@ func New(cfg Config) (*Server, error) {
 		xtpAddr:   cfg.XTPAddr,
 		tenants:   ts,
 	}
+	s.svc = &service{reg: s.reg}
 	// Attach before store recovery: restored entries must resolve their
 	// tenants (and tenant budget domains) against the final set.
 	s.reg.AttachTenants(ts)
 	if cfg.XTPAddr != "" {
-		s.xtp = NewXTP(s.reg, XTPOptions{Logger: logger, Metrics: om})
+		s.xtp = newXTP(s.svc, XTPOptions{Logger: logger, Metrics: om})
 	}
 	if cfg.StoreDir != "" {
 		fsync, err := store.ParseFsyncMode(cfg.StoreFsync)
@@ -635,12 +626,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, fmt.Errorf("missing name"))
 		return
 	}
-	key, aerr := synKey(s.tenant(r), req.Name)
+	key, aerr := s.svc.admit(s.tenant(r), req.Name, 0)
 	if aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
 		writeAPIError(w, r, aerr)
 		return
 	}
@@ -668,23 +655,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.ListFor(s.tenant(r)))
 }
 
-// pathKey resolves the {name} path segment into the request tenant's
-// qualified key, writing the error itself on a bad name.
-func (s *Server) pathKey(w http.ResponseWriter, r *http.Request) (string, bool) {
-	key, aerr := synKey(s.tenant(r), r.PathValue("name"))
-	if aerr != nil {
-		writeAPIError(w, r, aerr)
-		return "", false
-	}
-	return key, true
-}
-
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
+	key, aerr := s.svc.admit(s.tenant(r), r.PathValue("name"), 0)
+	if aerr != nil {
 		writeAPIError(w, r, aerr)
 		return
 	}
@@ -697,11 +670,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
+	key, aerr := s.svc.admit(s.tenant(r), r.PathValue("name"), 0)
+	if aerr != nil {
 		writeAPIError(w, r, aerr)
 		return
 	}
@@ -717,36 +687,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// rateLimit takes one token from the tenant's bucket, writing the typed
-// quota_exceeded rejection itself when the bucket is dry. Applied to the
-// traffic routes (estimate, feedback) — the ones a noisy neighbor floods.
-func rateLimit(w http.ResponseWriter, r *http.Request, t *Tenant) bool {
-	return rateLimitN(w, r, t, 1)
-}
-
-// rateLimitN charges n tokens atomically — a batch of n feedback events
-// costs exactly what n single-event requests would, so the batch endpoint
-// cannot bypass a tenant's rate limit.
-func rateLimitN(w http.ResponseWriter, r *http.Request, t *Tenant, n int) bool {
-	if t.allowN(n) {
-		return true
-	}
-	writeAPIError(w, r, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-	return false
-}
-
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if !rateLimit(w, r, s.tenant(r)) {
-		return
-	}
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
 	var req api.EstimateRequest
 	if !readBody(w, r, &req) {
 		return
@@ -755,70 +696,38 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if req.Query != "" {
 		queries = append([]string{req.Query}, queries...)
 	}
-	if len(queries) == 0 {
-		writeErr(w, r, fmt.Errorf("missing query or queries"))
-		return
-	}
-	items, err := s.reg.EstimateBatch(r.Context(), key, queries, req.Streaming)
-	if err != nil {
-		writeErr(w, r, err)
+	items, aerr := s.svc.estimate(r.Context(), s.tenant(r), r.PathValue("name"), queries, req.Streaming)
+	if aerr != nil {
+		writeAPIError(w, r, aerr)
 		return
 	}
 	writeJSON(w, http.StatusOK, api.EstimateResponse{Results: items})
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if !rateLimit(w, r, s.tenant(r)) {
-		return
-	}
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
 	var req api.FeedbackRequest
 	if !readBody(w, r, &req) {
 		return
 	}
-	if req.Query == "" {
-		writeErr(w, r, fmt.Errorf("missing query"))
-		return
+	outcome, aerr := s.svc.feedback(s.tenant(r), r.PathValue("name"), req.Query, req.Actual)
+	if aerr == nil {
+		aerr = outcome
 	}
-	if err := s.reg.Feedback(key, req.Query, req.Actual); err != nil {
-		writeErr(w, r, err)
+	if aerr != nil {
+		writeAPIError(w, r, aerr)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
-		writeAPIError(w, r, aerr)
-		return
-	}
 	var req api.FeedbackBatchRequest
 	if !readBody(w, r, &req) {
 		return
 	}
-	if len(req.Items) == 0 {
-		writeErr(w, r, fmt.Errorf("missing items"))
-		return
-	}
-	// Charged after decode — the batch size IS the cost — and before any
-	// registry work, so an over-limit batch is rejected whole.
-	if !rateLimitN(w, r, s.tenant(r), len(req.Items)) {
-		return
-	}
-	errs, err := s.reg.FeedbackBatch(key, req.Items)
-	if err != nil {
-		writeErr(w, r, err)
+	errs, aerr := s.svc.feedbackBatch(s.tenant(r), r.PathValue("name"), req.Items)
+	if aerr != nil {
+		writeAPIError(w, r, aerr)
 		return
 	}
 	resp := api.FeedbackBatchResponse{Results: make([]api.FeedbackBatchItem, len(errs))}
@@ -829,11 +738,8 @@ func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubtree(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
+	key, aerr := s.svc.admit(s.tenant(r), r.PathValue("name"), 0)
+	if aerr != nil {
 		writeAPIError(w, r, aerr)
 		return
 	}
@@ -859,11 +765,8 @@ func (s *Server) handleSubtree(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
+	key, aerr := s.svc.admit(s.tenant(r), r.PathValue("name"), 0)
+	if aerr != nil {
 		writeAPIError(w, r, aerr)
 		return
 	}
@@ -900,11 +803,8 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.pathKey(w, r)
-	if !ok {
-		return
-	}
-	if aerr := s.ownerCheck(key); aerr != nil {
+	key, aerr := s.svc.admit(s.tenant(r), r.PathValue("name"), 0)
+	if aerr != nil {
 		writeAPIError(w, r, aerr)
 		return
 	}
@@ -978,8 +878,9 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	var keys []string
 	if name := r.URL.Query().Get("synopsis"); name != "" {
-		key, ok := s.pathKeyFrom(w, r, name)
-		if !ok {
+		key, aerr := synKey(s.tenant(r), name)
+		if aerr != nil {
+			writeAPIError(w, r, aerr)
 			return
 		}
 		if _, err := s.reg.Get(key); err != nil {
@@ -1003,16 +904,6 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Store = storeStatsAPI(s.st.Stats(), s.tenants, nil)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// pathKeyFrom is pathKey for a name arriving outside the path (?synopsis=).
-func (s *Server) pathKeyFrom(w http.ResponseWriter, r *http.Request, name string) (string, bool) {
-	key, aerr := synKey(s.tenant(r), name)
-	if aerr != nil {
-		writeAPIError(w, r, aerr)
-		return "", false
-	}
-	return key, true
 }
 
 // storeStatsAPI projects the store's stats onto the wire type, scoped to

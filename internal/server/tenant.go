@@ -133,14 +133,11 @@ type Tenant struct {
 // ID returns the tenant's identifier.
 func (t *Tenant) ID() string { return t.id }
 
-// allow takes one token from the tenant's bucket, reporting false (and
-// counting the rejection) when the bucket is empty.
-func (t *Tenant) allow() bool { return t.allowN(1) }
-
-// allowN takes n tokens atomically: all or nothing, so a batch of n events
-// costs exactly n single events and cannot slip under the limit. A batch
-// larger than the burst capacity can never be admitted — callers split or
-// are rejected, by design.
+// allowN takes n tokens atomically, reporting false (and counting the
+// rejection) when the bucket cannot cover them: all or nothing, so a batch
+// of n events costs exactly n single events and cannot slip under the
+// limit. A batch larger than the burst capacity can never be admitted —
+// callers split or are rejected, by design.
 func (t *Tenant) allowN(n int) bool {
 	if t == nil || t.rlRate <= 0 || n <= 0 {
 		return true

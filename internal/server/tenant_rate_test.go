@@ -29,7 +29,7 @@ func rateTenant(t *testing.T, cfg TenantConfig) *Tenant {
 func drain(t *testing.T, ten *Tenant, max int) int {
 	t.Helper()
 	for i := 0; i < max; i++ {
-		if !ten.allow() {
+		if !ten.allowN(1) {
 			return i
 		}
 	}

@@ -33,21 +33,15 @@ type XTPOptions struct {
 	Metrics *obs.Registry
 }
 
-// XTP serves the xtp binary protocol (docs/PROTOCOL.md) over TCP against
-// a registry — the same registry, estimate cache, and error taxonomy the
-// HTTP JSON API serves, minus the HTTP and JSON. Requests multiplex over
-// each connection by correlation ID, so one pipelining client drives the
-// registry from many concurrent calls on a single socket.
+// XTP serves the xtp binary protocol (docs/PROTOCOL.md) over TCP: a codec
+// over the same service — registry, admission, estimate cache, and error
+// taxonomy — the HTTP JSON API serves, minus the HTTP and JSON. Requests
+// multiplex over each connection by correlation ID, so one pipelining
+// client drives the registry from many concurrent calls on a single socket.
 type XTP struct {
-	reg *Registry
+	svc *service
 	log *slog.Logger
 	m   *xtpMetrics
-
-	// Cluster hooks, both nil off-cluster: ownerCheck answers with a typed
-	// moved error for keys owned by another node, ringJSON serves RingReq.
-	// Set once via AttachCluster before the listener serves.
-	ownerCheck func(key string) *api.Error
-	ringJSON   func() ([]byte, bool)
 
 	// baseCtx parents every request handler; cancel aborts in-flight work
 	// when a drain deadline expires.
@@ -62,16 +56,22 @@ type XTP struct {
 	wg sync.WaitGroup // one per live connection handler
 }
 
-// NewXTP builds an XTP listener over the registry. Serve it on as many
-// listeners as needed; Shutdown drains them all.
+// NewXTP builds an XTP listener over the registry, outside any cluster.
+// Serve it on as many listeners as needed; Shutdown drains them all.
 func NewXTP(reg *Registry, opts XTPOptions) *XTP {
+	return newXTP(&service{reg: reg}, opts)
+}
+
+// newXTP builds an XTP listener over svc; a Server passes its own, so the
+// listener shares the HTTP API's cluster ownership and ring.
+func newXTP(svc *service, opts XTPOptions) *XTP {
 	lg := opts.Logger
 	if lg == nil {
 		lg = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &XTP{
-		reg:     reg,
+		svc:     svc,
 		log:     lg,
 		m:       newXTPMetrics(opts.Metrics),
 		baseCtx: ctx,
@@ -79,22 +79,6 @@ func NewXTP(reg *Registry, opts XTPOptions) *XTP {
 		lns:     make(map[net.Listener]struct{}),
 		conns:   make(map[*xtpConn]struct{}),
 	}
-}
-
-// AttachCluster installs the cluster hooks: the per-key ownership check
-// (moved errors over xtp mirror the HTTP 421s) and the RingReq answer.
-// Call before Serve.
-func (x *XTP) AttachCluster(ownerCheck func(string) *api.Error, ringJSON func() ([]byte, bool)) {
-	x.ownerCheck = ownerCheck
-	x.ringJSON = ringJSON
-}
-
-// checkOwner applies the cluster ownership hook (nil off-cluster).
-func (x *XTP) checkOwner(key string) *api.Error {
-	if x.ownerCheck == nil {
-		return nil
-	}
-	return x.ownerCheck(key)
 }
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
@@ -217,10 +201,14 @@ func (x *XTP) handleConn(c net.Conn) {
 	}
 	c.SetReadDeadline(time.Time{})
 
-	cn := &xtpConn{c: c, x: x, w: wire.NewWriter(c), ten: x.reg.Tenants().Default()}
+	cn := &xtpConn{c: c, x: x, w: wire.NewWriter(c), ten: x.svc.reg.Tenants().Default()}
 	x.mu.Lock()
 	if x.closed {
+		// Shutdown ran while this handshake was in flight and never saw the
+		// connection: tell the client to go away before hanging up, as the
+		// drain does for every connection it knows.
 		x.mu.Unlock()
+		cn.write(wire.FrameGoaway, 0, nil)
 		return
 	}
 	x.conns[cn] = struct{}{}
@@ -269,7 +257,7 @@ func (cn *xtpConn) readLoop() {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			t, aerr := x.reg.Tenants().resolveXTP(token)
+			t, aerr := x.svc.reg.Tenants().resolveXTP(token)
 			if aerr != nil {
 				// Terminal, like the HTTP 401: an unauthenticated peer gets
 				// nothing further on this connection.
@@ -288,91 +276,66 @@ func (cn *xtpConn) readLoop() {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			t := cn.ten
-			t.reqs.Inc()
-			if !t.allow() {
-				cn.writeError(f.Corr, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-				continue
-			}
-			key, aerr := synKey(t, name)
-			if aerr == nil {
-				aerr = x.checkOwner(key)
-			}
-			if aerr != nil {
-				cn.writeError(f.Corr, aerr)
-				continue
-			}
-			cn.inflight.Add(1)
-			go cn.handleEstimate(f.Corr, key, queries, streaming)
+			cn.dispatch(f.Corr, x.m.estimateSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
+				items, aerr := x.svc.estimate(x.baseCtx, t, name, queries, streaming)
+				if aerr != nil {
+					return 0, aerr
+				}
+				*buf = wire.AppendEstimateResp(*buf, items)
+				return wire.FrameEstimateResp, nil
+			})
 		case wire.FrameFeedbackReq:
 			name, query, actual, err := wire.DecodeFeedbackReq(f.Payload)
 			if err != nil {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			t := cn.ten
-			t.reqs.Inc()
-			if !t.allow() {
-				cn.writeError(f.Corr, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-				continue
-			}
-			key, aerr := synKey(t, name)
-			if aerr == nil {
-				aerr = x.checkOwner(key)
-			}
-			if aerr != nil {
-				cn.writeError(f.Corr, aerr)
-				continue
-			}
-			cn.inflight.Add(1)
-			go cn.handleFeedback(f.Corr, key, query, actual)
+			cn.dispatch(f.Corr, x.m.feedbackSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
+				outcome, aerr := x.svc.feedback(t, name, query, actual)
+				if aerr != nil {
+					return 0, aerr
+				}
+				if outcome != nil {
+					x.m.errorSent(outcome.Code)
+				}
+				*buf = wire.AppendFeedbackAck(*buf, outcome)
+				return wire.FrameFeedbackAck, nil
+			})
 		case wire.FrameFeedbackBatchReq:
 			name, items, err := wire.DecodeFeedbackBatchReq(f.Payload)
 			if err != nil {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			t := cn.ten
-			t.reqs.Inc()
-			if len(items) == 0 {
-				cn.writeError(f.Corr, api.Errorf(api.CodeBadRequest, "missing items"))
-				continue
-			}
-			// A batch of n events costs n tokens — rejected whole when the
-			// bucket cannot cover it, so batching never outruns the limit.
-			if !t.allowN(len(items)) {
-				cn.writeError(f.Corr, api.Errorf(api.CodeQuotaExceeded, "tenant %q rate limit exceeded", t.ID()))
-				continue
-			}
-			key, aerr := synKey(t, name)
-			if aerr == nil {
-				aerr = x.checkOwner(key)
-			}
-			if aerr != nil {
-				cn.writeError(f.Corr, aerr)
-				continue
-			}
-			cn.inflight.Add(1)
-			go cn.handleFeedbackBatch(f.Corr, key, items)
+			cn.dispatch(f.Corr, x.m.feedbackSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
+				errs, aerr := x.svc.feedbackBatch(t, name, items)
+				if aerr != nil {
+					return 0, aerr
+				}
+				*buf = wire.AppendFeedbackBatchAck(*buf, errs)
+				return wire.FrameFeedbackBatchAck, nil
+			})
 		case wire.FrameStatsReq:
-			t := cn.ten
-			t.reqs.Inc()
-			cn.inflight.Add(1)
-			go cn.handleStats(f.Corr, t)
+			cn.dispatch(f.Corr, x.m.statsSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
+				// Stats is a cold path; its deeply nested payload rides as
+				// JSON (normatively specified — see PROTOCOL.md §4.6).
+				data, err := json.Marshal(x.svc.reg.StatsFor(t))
+				if err != nil {
+					return 0, api.WrapError(err, api.CodeInternal)
+				}
+				*buf = append(*buf, data...)
+				return wire.FrameStatsResp, nil
+			})
 		case wire.FrameRingReq:
 			if len(f.Payload) != 0 {
 				cn.protocolError(f.Corr, fmt.Errorf("RingReq carries no payload"))
 				return
 			}
-			if x.ringJSON != nil {
-				if data, ok := x.ringJSON(); ok {
-					cn.write(wire.FrameRingResp, f.Corr, data)
-					continue
-				}
-				cn.writeError(f.Corr, api.Errorf(api.CodeUnavailable, "ring not yet known"))
-				continue
+			if data, aerr := x.svc.ring(); aerr != nil {
+				cn.writeError(f.Corr, aerr)
+			} else {
+				cn.write(wire.FrameRingResp, f.Corr, data)
 			}
-			cn.writeError(f.Corr, api.Errorf(api.CodeConflict, "server is not part of a cluster"))
 		default:
 			// Unknown or direction-inverted frame: the stream cannot be
 			// trusted past it (see the versioning rules in docs/PROTOCOL.md).
@@ -382,67 +345,27 @@ func (cn *xtpConn) readLoop() {
 	}
 }
 
-func (cn *xtpConn) handleEstimate(corr uint64, name string, queries []string, streaming bool) {
-	defer cn.inflight.Done()
-	start := time.Now()
-	items, err := cn.x.reg.EstimateBatch(cn.x.baseCtx, name, queries, streaming)
-	if err != nil {
-		cn.writeError(corr, toAPIError(err))
-		cn.x.m.observe(cn.x.m.estimateSeconds, start)
-		return
-	}
-	buf := wire.GetBuf()
-	*buf = wire.AppendEstimateResp(*buf, items)
-	cn.write(wire.FrameEstimateResp, corr, *buf)
-	wire.PutBuf(buf)
-	cn.x.m.observe(cn.x.m.estimateSeconds, start)
-}
-
-func (cn *xtpConn) handleFeedback(corr uint64, name, query string, actual float64) {
-	defer cn.inflight.Done()
-	start := time.Now()
-	var ae *api.Error
-	if err := cn.x.reg.Feedback(name, query, actual); err != nil {
-		ae = toAPIError(err)
-		cn.x.m.errorSent(ae.Code)
-	}
-	buf := wire.GetBuf()
-	*buf = wire.AppendFeedbackAck(*buf, ae)
-	cn.write(wire.FrameFeedbackAck, corr, *buf)
-	wire.PutBuf(buf)
-	cn.x.m.observe(cn.x.m.feedbackSeconds, start)
-}
-
-func (cn *xtpConn) handleFeedbackBatch(corr uint64, name string, items []api.FeedbackItem) {
-	defer cn.inflight.Done()
-	start := time.Now()
-	errs, err := cn.x.reg.FeedbackBatch(name, items)
-	if err != nil {
-		ae := toAPIError(err)
-		cn.x.m.errorSent(ae.Code)
-		cn.writeError(corr, ae)
-		cn.x.m.observe(cn.x.m.feedbackSeconds, start)
-		return
-	}
-	buf := wire.GetBuf()
-	*buf = wire.AppendFeedbackBatchAck(*buf, errs)
-	cn.write(wire.FrameFeedbackBatchAck, corr, *buf)
-	wire.PutBuf(buf)
-	cn.x.m.observe(cn.x.m.feedbackSeconds, start)
-}
-
-func (cn *xtpConn) handleStats(corr uint64, t *Tenant) {
-	defer cn.inflight.Done()
-	start := time.Now()
-	// Stats is a cold path; its deeply nested payload rides as JSON
-	// (normatively specified — see the StatsResp section of PROTOCOL.md).
-	data, err := json.Marshal(cn.x.reg.StatsFor(t))
-	if err != nil {
-		cn.writeError(corr, api.WrapError(err, api.CodeInternal))
-		return
-	}
-	cn.write(wire.FrameStatsResp, corr, data)
-	cn.x.m.observe(cn.x.m.statsSeconds, start)
+// dispatch counts one request against the connection's tenant and runs
+// call on its own goroutine, so the reader keeps decoding frames while the
+// service works. call encodes its response into the pooled buffer and
+// names the frame type; an *api.Error from it fails the request whole with
+// an Error frame instead. The kind's latency lands on h.
+func (cn *xtpConn) dispatch(corr uint64, h *obs.Histogram, call func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error)) {
+	t := cn.ten // read here, on the reader goroutine (see xtpConn.ten)
+	t.reqs.Inc()
+	cn.inflight.Add(1)
+	go func() {
+		defer cn.inflight.Done()
+		start := time.Now()
+		buf := wire.GetBuf()
+		if ft, aerr := call(t, buf); aerr != nil {
+			cn.writeError(corr, aerr)
+		} else {
+			cn.write(ft, corr, *buf)
+		}
+		wire.PutBuf(buf)
+		cn.x.m.observe(h, start)
+	}()
 }
 
 // write sends one frame, serializing against concurrent handlers. Write

@@ -338,28 +338,49 @@ func TestXTPMetricsFamilies(t *testing.T) {
 	w.WriteFrame(wire.FrameFeedbackReq, 2, wire.AppendFeedbackReq(nil, "fig2", "/a/c/s", 2))
 	w.WriteFrame(wire.FrameStatsReq, 3, nil)
 	w.WriteFrame(wire.FrameEstimateReq, 4, wire.AppendEstimateReq(nil, "nope", []string{"/a"}, false))
-	for i := 0; i < 4; i++ {
+	// Frame types past 0x10 must count under their own labels, not share
+	// one slot.
+	w.WriteFrame(wire.FrameFeedbackBatchReq, 5, wire.AppendFeedbackBatchReq(nil, "fig2",
+		[]api.FeedbackItem{{Query: "/a/c/s", Actual: 2}}))
+	w.WriteFrame(wire.FrameRingReq, 6, nil)
+	for i := 0; i < 6; i++ {
 		if _, err := r.ReadFrame(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	var sb strings.Builder
-	if err := om.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
+	wants := []string{
 		"xseed_xtp_connections 1",
 		"xseed_xtp_connections_total 1",
 		`xseed_xtp_frames_total{dir="in",type="EstimateReq"} 2`,
 		`xseed_xtp_frames_total{dir="out",type="FeedbackAck"} 1`,
+		`xseed_xtp_frames_total{dir="in",type="FeedbackBatchReq"} 1`,
+		`xseed_xtp_frames_total{dir="out",type="FeedbackBatchAck"} 1`,
+		`xseed_xtp_frames_total{dir="in",type="RingReq"} 1`,
+		`xseed_xtp_frames_total{dir="out",type="Error"} 2`,
 		`xseed_xtp_request_seconds_count{kind="estimate"}`,
 		`xseed_xtp_errors_total{code="not_found"} 1`,
 		`xseed_xtp_bytes_total{dir="in"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
+	}
+	// A sent frame is counted once its write returns, which can be after
+	// the client has read it: poll until the last writes are counted.
+	var missing []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var sb strings.Builder
+		if err := om.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
 		}
+		missing = missing[:0]
+		for _, want := range wants {
+			if !strings.Contains(sb.String(), want) {
+				missing = append(missing, want)
+			}
+		}
+		if len(missing) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, want := range missing {
+		t.Errorf("metrics missing %q", want)
 	}
 }

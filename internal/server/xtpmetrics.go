@@ -16,8 +16,8 @@ type xtpMetrics struct {
 	connsOpen  *obs.Gauge
 	connsTotal *obs.Counter
 
-	framesIn  [maxFrameType + 1]*obs.Counter // {dir="in", type}
-	framesOut [maxFrameType + 1]*obs.Counter // {dir="out", type}
+	framesIn  [256]*obs.Counter // {dir="in", type}, indexed by the type byte
+	framesOut [256]*obs.Counter // {dir="out", type}
 	bytesIn   *obs.Counter
 	bytesOut  *obs.Counter
 
@@ -29,11 +29,6 @@ type xtpMetrics struct {
 	decodeErrors *obs.Counter
 	handshakeErr *obs.Counter
 }
-
-// maxFrameType bounds the frame-counter arrays; a frame type above it
-// (impossible from wire.Frames, defensive for the raw byte) shares the
-// last slot.
-const maxFrameType = 0x10
 
 func newXTPMetrics(om *obs.Registry) *xtpMetrics {
 	if om == nil {
@@ -64,8 +59,8 @@ func newXTPMetrics(om *obs.Registry) *xtpMetrics {
 			"Connections dropped during the handshake (bad magic, unsupported version, timeout)."),
 	}
 	for _, fi := range wire.Frames() {
-		m.framesIn[frameSlot(fi.Type)] = frames.With("in", fi.Name)
-		m.framesOut[frameSlot(fi.Type)] = frames.With("out", fi.Name)
+		m.framesIn[fi.Type] = frames.With("in", fi.Name)
+		m.framesOut[fi.Type] = frames.With("out", fi.Name)
 	}
 	unknownIn, unknownOut := frames.With("in", "unknown"), frames.With("out", "unknown")
 	for i := range m.framesIn {
@@ -79,22 +74,15 @@ func newXTPMetrics(om *obs.Registry) *xtpMetrics {
 	return m
 }
 
-func frameSlot(t wire.FrameType) int {
-	if int(t) > maxFrameType {
-		return maxFrameType
-	}
-	return int(t)
-}
-
 // frameIn records one received frame and its wire-byte delta.
 func (m *xtpMetrics) frameIn(t wire.FrameType, bytes int64) {
-	m.framesIn[frameSlot(t)].Inc()
+	m.framesIn[t].Inc()
 	m.bytesIn.Add(uint64(bytes))
 }
 
 // frameOut records one sent frame and its wire-byte delta.
 func (m *xtpMetrics) frameOut(t wire.FrameType, bytes int64) {
-	m.framesOut[frameSlot(t)].Inc()
+	m.framesOut[t].Inc()
 	m.bytesOut.Add(uint64(bytes))
 }
 

@@ -168,13 +168,19 @@ type SynopsisInfo struct {
 	Accuracy       AccuracyStats `json:"accuracy"`
 }
 
-// CacheStats is a point-in-time view of estimate-cache effectiveness.
-// Hits/Misses/HitRate cover estimate-result lookups; PlanHits/PlanMisses
-// cover compiled-plan lookups (counted apart, since plans survive the
-// mutations that retire every estimate entry). Entries counts both kinds.
-// CostSavedNs accumulates the recorded compute cost of every served hit
-// (estimates and compiled plans): an estimate of the CPU time the cache has
-// saved, and the observable the cost-aware eviction policy optimizes.
+// CacheStats is a point-in-time view of estimate-cache effectiveness. The
+// cache holds one entry per query: its compiled plan and its estimate at
+// one snapshot version. A batch looks each distinct query up once.
+// Hits/Misses/HitRate count lookups that did or did not find the estimate at
+// the pinned snapshot version; PlanHits/PlanMisses count lookups that did or
+// did not find a plan current for that snapshot (plans survive the feedback
+// that retires every estimate), so every estimate hit is a plan hit too.
+// CostSavedNs accumulates the recorded cost each hit skipped (parse +
+// compile + run for an estimate, parse + compile for a plan): an estimate
+// of the CPU time the cache has saved, and the observable the cost-aware
+// eviction policy optimizes. A batch's repeat of a query whose lookup found
+// the estimate counts as one more such hit in all three; a repeat of any
+// other query counts in none.
 type CacheStats struct {
 	Entries     int     `json:"entries"`
 	Hits        int64   `json:"hits"`

@@ -64,6 +64,7 @@ func (o Options) maxNodes() int {
 // selectivities.
 type EPTNode struct {
 	Label    xmldoc.LabelID
+	ID       int32   // dense build order: the root is 0, every ID < EPTStats.Nodes
 	Card     float64 // estimated |rooted simple path|
 	Fsel     float64 // forward selectivity of the path (Definition 5)
 	Bsel     float64 // backward selectivity of the path (Definition 5)
@@ -173,7 +174,7 @@ func (b *eptBuilder) expand(n *EPTNode, v *kernel.Vertex) {
 			b.rl.Pop(e.To)
 			continue
 		}
-		child := &EPTNode{Label: e.To, Card: card, Fsel: fsel, Bsel: bsel, Hash: h}
+		child := &EPTNode{Label: e.To, ID: int32(b.nodes), Card: card, Fsel: fsel, Bsel: bsel, Hash: h}
 		n.Children = append(n.Children, child)
 		b.nodes++
 		b.expand(child, b.k.Vertex(e.To))

@@ -26,22 +26,28 @@ type Plan struct {
 	dictLen int // labels interned when compiled; see CompatibleWith
 }
 
-// planStep is one compiled main-path location step.
+// planStep is one compiled main-path location step. A plan is what the
+// serving layer caches per query, so the step stays 16 bytes: whatever only
+// a step with predicates needs sits behind preds, nil for the rest.
 type planStep struct {
 	axis     xpath.Axis
 	wildcard bool
 	known    bool // node test resolves in the dictionary (always true for wildcards)
 	label    xmldoc.LabelID
-	preds    []planPred
+	preds    *stepPreds
+}
 
-	// HET pattern acceleration, valid only when the following main-path step
-	// is a non-wildcard name test. wholeSuffix is the canonical
-	// "[p1]..[pk]/next" bytes when every predicate is a single child-axis
-	// name step (the whole-set correlated lookup); predSuffix[i] is the
-	// per-predicate "[pi]/next" bytes used by the individual fallback when
-	// the step carries several predicates and predicate i is simple.
-	wholeSuffix []byte
-	predSuffix  [][]byte
+// stepPreds is a main-path step's predicates with their HET pattern
+// acceleration, valid only when the following main-path step is a
+// non-wildcard name test. whole is the canonical "[p1]..[pk]/next" bytes
+// when every predicate is a single child-axis name step (the whole-set
+// correlated lookup); each[i] is the per-predicate "[pi]/next" bytes used by
+// the individual fallback when the step carries several predicates and
+// predicate i is simple.
+type stepPreds struct {
+	list  []planPred
+	whole []byte
+	each  [][]byte
 }
 
 // planPred is one compiled predicate (a relative path).
@@ -69,29 +75,38 @@ func Compile(q *xpath.Path, dict *xmldoc.Dict) *Plan {
 		st := &q.Steps[i]
 		ps := planStep{axis: st.Axis, wildcard: st.Wildcard}
 		ps.label, ps.known = resolveLabel(st.Wildcard, st.Label, dict)
-		for _, pr := range st.Preds {
-			ps.preds = append(ps.preds, compilePred(pr, dict))
-		}
-		var nextLabel string
-		if i+1 < len(q.Steps) && !q.Steps[i+1].Wildcard {
-			nextLabel = q.Steps[i+1].Label
-		}
-		if nextLabel != "" && len(st.Preds) > 0 {
-			if labels, ok := simplePredLabels(st.Preds); ok {
-				ps.wholeSuffix = pathhash.PatternSuffix(labels, nextLabel)
-			}
-			if len(st.Preds) > 1 {
-				ps.predSuffix = make([][]byte, len(st.Preds))
-				for j, pr := range st.Preds {
-					if labels, ok := simplePredLabels([]*xpath.Path{pr}); ok {
-						ps.predSuffix[j] = pathhash.PatternSuffix(labels, nextLabel)
-					}
-				}
-			}
+		if len(st.Preds) > 0 {
+			ps.preds = compileStepPreds(st.Preds, q.Steps[i+1:], dict)
 		}
 		p.steps[i] = ps
 	}
 	return p
+}
+
+// compileStepPreds compiles a main-path step's predicates; rest is the
+// main path after the step, whose first name test completes the HET
+// pattern keys.
+func compileStepPreds(preds []*xpath.Path, rest []xpath.Step, dict *xmldoc.Dict) *stepPreds {
+	sp := &stepPreds{list: make([]planPred, len(preds))}
+	for j, pr := range preds {
+		sp.list[j] = compilePred(pr, dict)
+	}
+	if len(rest) == 0 || rest[0].Wildcard {
+		return sp
+	}
+	next := rest[0].Label
+	if labels, ok := simplePredLabels(preds); ok {
+		sp.whole = pathhash.PatternSuffix(labels, next)
+	}
+	if len(preds) > 1 {
+		sp.each = make([][]byte, len(preds))
+		for j, pr := range preds {
+			if labels, ok := simplePredLabels([]*xpath.Path{pr}); ok {
+				sp.each[j] = pathhash.PatternSuffix(labels, next)
+			}
+		}
+	}
+	return sp
 }
 
 func compilePred(pr *xpath.Path, dict *xmldoc.Dict) planPred {
@@ -132,8 +147,10 @@ func (p *Plan) NumSteps() int { return len(p.steps) }
 // running an incompatible plan is safe but may estimate 0 for labels the
 // plan compiled before they were interned.
 func (p *Plan) Run(sn *Snapshot) float64 {
-	root, _ := sn.EPT()
-	return p.run(root, sn.opt.HET, sn.hashes)
+	root, st := sn.EPT()
+	r := runnerPool.Get().(*runner)
+	defer runnerPool.Put(r)
+	return r.run(p, root, st.Nodes, sn.opt.HET, sn.hashes)
 }
 
 // entry is one weighted context node during navigation.
@@ -143,38 +160,47 @@ type entry struct {
 }
 
 // runner is the pooled per-run scratch state: the context/result buffers and
-// the node-dedup index reused across steps and across runs.
+// the node-dedup stamps reused across steps and across runs.
 type runner struct {
-	het    HET
-	hashes []uint32
-
+	het       HET
+	hashes    []uint32
 	cur, next []entry
-	index     map[*EPTNode]int
+
+	// seen[id] == gen marks EPT node id as already in the current step's
+	// output, at next[pos[id]]. gen goes up by one per step, so a step
+	// starts with an empty set without clearing anything; seen is cleared
+	// only when gen wraps. Both grow to the largest EPT the runner has run.
+	seen []uint32
+	pos  []int32
+	gen  uint32
+
 	virtual   EPTNode
 	rootChild [1]*EPTNode
 }
 
-var runnerPool = sync.Pool{New: func() any {
-	return &runner{index: make(map[*EPTNode]int)}
-}}
+var runnerPool = sync.Pool{New: func() any { return new(runner) }}
 
-// run evaluates the compiled query over the EPT rooted at root — the
-// Algorithm 3 semantics of the interpretive matcher, operation for
-// operation: Σ over result matches of card × accumulated absel, with
-// node-set max-weight merging per step.
-func (p *Plan) run(root *EPTNode, het HET, hashes []uint32) float64 {
+// run evaluates the compiled query over the EPT rooted at root, which has
+// nodes nodes — the Algorithm 3 semantics of the interpretive matcher,
+// operation for operation: Σ over result matches of card × accumulated
+// absel, with node-set max-weight merging per step.
+func (r *runner) run(p *Plan, root *EPTNode, nodes int, het HET, hashes []uint32) float64 {
 	if root == nil || len(p.steps) == 0 {
 		return 0
 	}
-	r := runnerPool.Get().(*runner)
+	if len(r.seen) < nodes {
+		r.seen, r.pos = make([]uint32, nodes), make([]int32, nodes)
+	}
 	r.het, r.hashes = het, hashes
 	// Navigation starts at a virtual node above the EPT root whose only
 	// child is the root.
 	r.rootChild[0] = root
 	r.virtual = EPTNode{Children: r.rootChild[:], Card: 1, Fsel: 1, Bsel: 1}
 	ctx := append(r.cur[:0], entry{n: &r.virtual, w: 1})
+	used := len(ctx)
 	for i := range p.steps {
 		ctx = r.step(ctx, &p.steps[i])
+		used = max(used, len(ctx))
 		if len(ctx) == 0 {
 			break
 		}
@@ -187,72 +213,58 @@ func (p *Plan) run(root *EPTNode, het HET, hashes []uint32) float64 {
 		est += e.n.Card * e.w
 	}
 	// Scrub every EPT reference before pooling: a runner parked with stale
-	// node pointers (in the dedup index or the truncated buffers' backing
-	// arrays) would pin a retired snapshot's whole EPT while idle.
-	clear(r.index)
-	clearEntries(r.cur)
-	clearEntries(r.next)
+	// node pointers in its buffers' backing arrays would pin a retired
+	// snapshot's whole EPT while idle. No step wrote past used.
+	clear(r.cur[:min(used, cap(r.cur))])
+	clear(r.next[:min(used, cap(r.next))])
 	r.cur, r.next = r.cur[:0], r.next[:0]
 	r.het, r.hashes, r.rootChild[0], r.virtual = nil, nil, nil, EPTNode{}
-	runnerPool.Put(r)
 	return est
 }
 
-// clearEntries zeroes the slice's full backing array.
-func clearEntries(s []entry) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = entry{}
-	}
-}
-
-// step applies one location step to the weighted context set. Node-set
-// semantics: each EPT node appears at most once in the result; when it is
-// reachable from several context entries (possible with the descendant
-// axis), the maximum weight is kept.
+// step applies one location step to the weighted context set, writing the
+// result to r.next. Node-set semantics: each EPT node appears at most once
+// in the result; when it is reachable from several context entries
+// (possible with the descendant axis), the maximum weight is kept.
 func (r *runner) step(ctx []entry, st *planStep) []entry {
 	if !st.known {
 		return nil
 	}
-	out := r.next[:0]
-	clear(r.index)
-	add := func(n *EPTNode, w float64) {
-		if i, ok := r.index[n]; ok {
-			if w > out[i].w {
-				out[i].w = w
-			}
-			return
-		}
-		r.index[n] = len(out)
-		out = append(out, entry{n, w})
+	if r.gen++; r.gen == 0 {
+		clear(r.seen)
+		r.gen = 1
 	}
-	matches := func(c *EPTNode) bool { return st.wildcard || c.Label == st.label }
-	var visitDesc func(n *EPTNode, w float64)
-	visitDesc = func(n *EPTNode, w float64) {
-		for _, c := range n.Children {
-			if matches(c) {
-				if wp := r.predWeight(c, st); wp > 0 {
-					add(c, w*wp)
-				}
-			}
-			visitDesc(c, w)
-		}
-	}
+	r.next = r.next[:0]
 	for _, e := range ctx {
-		if st.axis == xpath.Child {
-			for _, c := range e.n.Children {
-				if matches(c) {
-					if wp := r.predWeight(c, st); wp > 0 {
-						add(c, e.w*wp)
-					}
-				}
+		r.visit(e.n, e.w, st)
+	}
+	return r.next
+}
+
+// visit adds the children of n that pass st, weighted by w — and, on the
+// descendant axis, their descendants too, depth first.
+func (r *runner) visit(n *EPTNode, w float64, st *planStep) {
+	for _, c := range n.Children {
+		if st.wildcard || c.Label == st.label {
+			if wp := r.predWeight(c, st); wp > 0 {
+				r.add(c, w*wp)
 			}
-		} else {
-			visitDesc(e.n, e.w)
+		}
+		if st.axis == xpath.Descendant {
+			r.visit(c, w, st)
 		}
 	}
-	r.next = out
-	return out
+}
+
+// add puts n in the step's output with weight w, or raises its weight to w
+// when it is there already.
+func (r *runner) add(n *EPTNode, w float64) {
+	if r.seen[n.ID] != r.gen {
+		r.seen[n.ID], r.pos[n.ID] = r.gen, int32(len(r.next))
+		r.next = append(r.next, entry{n, w})
+	} else if e := &r.next[r.pos[n.ID]]; w > e.w {
+		e.w = w
+	}
 }
 
 // predWeight returns the aggregated backward selectivity contribution of a
@@ -261,31 +273,32 @@ func (r *runner) step(ctx []entry, st *planStep) []entry {
 //
 // When the hyper-edge table holds a correlated backward selectivity for the
 // branching pattern label(n)[preds...]/nextLabel (precompiled into
-// wholeSuffix), that value is used for the whole predicate set, capturing
+// preds.whole), that value is used for the whole predicate set, capturing
 // sibling correlation (Section 5). Otherwise each predicate is first tried
 // individually against the HET and independence is assumed across
 // predicates (the absel product of Section 4).
 func (r *runner) predWeight(n *EPTNode, st *planStep) float64 {
-	if len(st.preds) == 0 {
+	sp := st.preds
+	if sp == nil {
 		return 1
 	}
-	if r.het != nil && st.wholeSuffix != nil {
-		h := pathhash.Bytes(r.hashes[n.Label], st.wholeSuffix)
+	if r.het != nil && sp.whole != nil {
+		h := pathhash.Bytes(r.hashes[n.Label], sp.whole)
 		if bsel, ok := r.het.LookupPattern(h); ok {
 			return clamp01(bsel)
 		}
 	}
 	w := 1.0
-	for j := range st.preds {
+	for j := range sp.list {
 		// Individual 1BP pattern lookup before falling back to independence.
-		if r.het != nil && st.predSuffix != nil && st.predSuffix[j] != nil {
-			h := pathhash.Bytes(r.hashes[n.Label], st.predSuffix[j])
+		if r.het != nil && sp.each != nil && sp.each[j] != nil {
+			h := pathhash.Bytes(r.hashes[n.Label], sp.each[j])
 			if bsel, ok := r.het.LookupPattern(h); ok {
 				w *= clamp01(bsel)
 				continue
 			}
 		}
-		pw := r.predPathWeight(n, st.preds[j].steps)
+		pw := r.predPathWeight(n, sp.list[j].steps)
 		if pw <= 0 {
 			return 0
 		}
@@ -307,29 +320,31 @@ func (r *runner) predPathWeight(n *EPTNode, steps []planPredStep) float64 {
 	if !st.known {
 		return 0
 	}
-	matches := func(c *EPTNode) bool { return st.wildcard || c.Label == st.label }
 	if st.axis == xpath.Child {
 		var sum float64
 		for _, c := range n.Children {
-			if matches(c) {
+			if st.wildcard || c.Label == st.label {
 				sum += c.Bsel * r.stepOwnPreds(c, st) * r.predPathWeight(c, steps[1:])
 			}
 		}
 		return clamp01(sum)
 	}
-	var visit func(parent *EPTNode) float64
-	visit = func(parent *EPTNode) float64 {
-		var s float64
-		for _, c := range parent.Children {
-			var here float64
-			if matches(c) {
-				here = r.stepOwnPreds(c, st) * r.predPathWeight(c, steps[1:])
-			}
-			s += c.Bsel * (here + visit(c))
+	return clamp01(r.predDescendants(n, steps))
+}
+
+// predDescendants sums, over n's descendants, the witness weight of a
+// predicate path whose first step (steps[0]) has the descendant axis.
+func (r *runner) predDescendants(n *EPTNode, steps []planPredStep) float64 {
+	st := &steps[0]
+	var s float64
+	for _, c := range n.Children {
+		var here float64
+		if st.wildcard || c.Label == st.label {
+			here = r.stepOwnPreds(c, st) * r.predPathWeight(c, steps[1:])
 		}
-		return s
+		s += c.Bsel * (here + r.predDescendants(c, steps))
 	}
-	return clamp01(visit(n))
+	return s
 }
 
 // stepOwnPreds evaluates the nested predicates attached to a predicate step

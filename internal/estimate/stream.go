@@ -63,17 +63,11 @@ func runStream(m *streamMatcher, tr *Traveler) (float64, bool) {
 }
 
 // streamable reports whether every predicate is a single child-axis name
-// step.
+// step (the shape simplePredLabels accepts).
 func streamable(q *xpath.Path) bool {
 	for i := range q.Steps {
-		for _, p := range q.Steps[i].Preds {
-			if len(p.Steps) != 1 {
-				return false
-			}
-			st := &p.Steps[0]
-			if st.Axis != xpath.Child || st.Wildcard || len(st.Preds) != 0 {
-				return false
-			}
+		if _, ok := simplePredLabels(q.Steps[i].Preds); !ok {
+			return false
 		}
 	}
 	return true

@@ -18,6 +18,12 @@ import _ "embed"
 //go:embed testdata/synopsis_v1.snap
 var SynopsisV1 []byte
 
+// SnapshotHugeHETCount is a 23-byte synopsis snapshot whose hyper-edge
+// table header claims 2^28 entries and then ends: "XSNP" v2, an empty
+// kernel, HET flag 1, "XSH1", budget 0, count 2^28. A decoder must reject it
+// without allocating for the claimed count.
+var SnapshotHugeHETCount = []byte("XSNP\x02" + "XSK1\x00\x00\x00" + "\x01" + "XSH1\x00\x80\x80\x80\x80\x01")
+
 // PaperFigure2 is an XML instance consistent with the paper's Figure 2:
 // building its XSEED kernel yields exactly the edge labels of Figure 2(b):
 //

@@ -95,7 +95,8 @@ func Read(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("het: implausible entry count %d", count)
 	}
 	t := New(int(budget))
-	entries := make([]Entry, 0, count)
+	// The count is only a claim until its records arrive: grow with them.
+	entries := make([]Entry, 0, min(count, 1024))
 	var rec [29]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

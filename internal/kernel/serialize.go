@@ -151,9 +151,11 @@ func Read(r io.Reader, dict *xmldoc.Dict) (*Kernel, error) {
 	if nLabels > maxLabels {
 		return nil, fmt.Errorf("kernel: implausible label count %d", nLabels)
 	}
-	labels := make([]xmldoc.LabelID, nLabels)
+	// Counts are only claims until their bytes arrive: slices sized by one
+	// grow with what is read, so a few header bytes cannot claim gigabytes.
+	labels := make([]xmldoc.LabelID, 0, min(nLabels, 1024))
 	nameBuf := make([]byte, 0, 64)
-	for i := range labels {
+	for i := uint64(0); i < nLabels; i++ {
 		ln, err := getUvarint()
 		if err != nil {
 			return nil, fmt.Errorf("kernel: label length: %w", err)
@@ -168,7 +170,7 @@ func Read(r io.Reader, dict *xmldoc.Dict) (*Kernel, error) {
 		if _, err := io.ReadFull(br, nameBuf); err != nil {
 			return nil, fmt.Errorf("kernel: label bytes: %w", err)
 		}
-		labels[i] = dict.Intern(string(nameBuf))
+		labels = append(labels, dict.Intern(string(nameBuf)))
 	}
 
 	k := New(dict)
@@ -220,8 +222,8 @@ func Read(r io.Reader, dict *xmldoc.Dict) (*Kernel, error) {
 		from := k.getVertex(labels[fi])
 		to := k.getVertex(labels[ti])
 		e := k.getEdge(from, to)
-		e.Levels = make([]Level, nl)
-		for j := range e.Levels {
+		e.Levels = make([]Level, 0, min(nl, 64))
+		for j := uint64(0); j < nl; j++ {
 			p, err := getUvarint()
 			if err != nil {
 				return nil, fmt.Errorf("kernel: level P: %w", err)
@@ -230,7 +232,7 @@ func Read(r io.Reader, dict *xmldoc.Dict) (*Kernel, error) {
 			if err != nil {
 				return nil, fmt.Errorf("kernel: level C: %w", err)
 			}
-			e.Levels[j] = Level{P: int64(p), C: int64(c)}
+			e.Levels = append(e.Levels, Level{P: int64(p), C: int64(c)})
 		}
 	}
 	return k, nil

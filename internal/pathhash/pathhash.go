@@ -30,10 +30,9 @@ func AddLabel(h uint32, label string) uint32 {
 	return h
 }
 
-// String returns the FNV-1a hash of an arbitrary string. It is the hash the
-// estimate cache uses to shard (synopsis, normalized query) keys, and is
-// deliberately the same function family as the path hashes so the whole
-// system shares one cheap, well-distributed 32-bit hash.
+// String returns the FNV-1a hash of an arbitrary string. It is deliberately
+// the same function family as the path hashes so the whole system shares
+// one cheap, well-distributed 32-bit hash.
 func String(s string) uint32 {
 	h := Basis
 	for i := 0; i < len(s); i++ {

@@ -70,7 +70,7 @@ func percentile50(durations []time.Duration) time.Duration {
 // the served miss path (parse + compile + plan run) rather than the
 // library.
 func TestWarmCacheBeatsMissP50(t *testing.T) {
-	syn, queries := benchSetup(t)
+	syn, _ := benchSetup(t)
 
 	newServer := func(capacity int) *httptest.Server {
 		s, err := New(Config{CacheCapacity: capacity})
@@ -87,12 +87,14 @@ func TestWarmCacheBeatsMissP50(t *testing.T) {
 	warmTS := newServer(4096)
 	missTS := newServer(1) // one entry total: effectively every lookup misses
 
-	// One large batch repeats the query set, the shape of optimizer traffic;
-	// per-query latency is the request duration over the batch size.
-	const reps = 64
-	batch := make([]string, 0, reps*len(queries))
-	for i := 0; i < reps; i++ {
-		batch = append(batch, queries...)
+	// One large batch, the shape of optimizer traffic, holds every rooted
+	// simple path of the document once: duplicates within a batch share
+	// their first copy's answer, so only a batch without repeats sends
+	// every item of the capacity-1 side through parse, compile and plan
+	// run. Per-query latency is the request duration over the batch size.
+	var batch []string
+	for _, q := range benchState.doc.SimplePathQueries(1 << 12) {
+		batch = append(batch, q.String())
 	}
 	body, err := json.Marshal(api.EstimateRequest{Queries: batch})
 	if err != nil {
@@ -217,6 +219,49 @@ func BenchmarkEstimateBatchWarmCache(b *testing.B) {
 		if _, err := r.EstimateBatch(context.Background(), "xmark", queries, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEstimateStreaming measures the streaming matcher's two served
+// paths over a batch of simple paths: "miss" (capacity-1 cache, so every
+// query pays parse, compile and a streaming run) and "plan-rerun" (a
+// publish before each batch retires the cached estimates, so every query
+// reruns its cached plan with the streaming matcher, re-parsing the plan's
+// normalized text). The publish and the new snapshot's EPT build run
+// outside the timer.
+func BenchmarkEstimateStreaming(b *testing.B) {
+	_, queries := benchSetup(b)
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name     string
+		capacity int
+		publish  bool
+	}{{"miss", 1, false}, {"plan-rerun", 4096, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			syn, err := xseed.BuildSynopsis(benchState.doc, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := NewRegistry(bc.capacity, 0)
+			if _, err := r.Add("xmark", syn, "bench"); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.EstimateBatch(ctx, "xmark", queries, true); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.publish {
+					b.StopTimer()
+					syn.Publish()
+					syn.Snapshot().EPTStats()
+					b.StartTimer()
+				}
+				if _, err := r.EstimateBatch(ctx, "xmark", queries, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

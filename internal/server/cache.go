@@ -23,28 +23,37 @@ const numShards = 16
 const evictionWindow = 4
 
 // EstimateResult is a cached estimate. CostNs records what the uncached
-// computation cost, which (a) feeds the cache.costSavedNs stats counter on
-// every later hit and (b) biases eviction toward cheap entries. It is
-// wall-clock time: under a saturated worker pool scheduler contention
-// inflates it somewhat, so it is an eviction *tiebreak* signal and a
-// savings *estimate*, not a calibrated CPU-time measurement.
+// computation cost (parse + compile + plan run), which (a) feeds the
+// cache.costSavedNs stats counter on every later hit and (b) biases
+// eviction toward cheap entries. It is wall-clock time: under a saturated
+// worker pool scheduler contention inflates it somewhat, so it is an
+// eviction *tiebreak* signal and a savings *estimate*, not a calibrated
+// CPU-time measurement.
 type EstimateResult struct {
 	Est      float64
 	Streamed bool
 	CostNs   int64
 }
 
+// cacheKey names one query of one synopsis registration (Entry.id, so a
+// re-registered name shares nothing with its predecessor). The query is the
+// raw text the client sent, so that a hit skips the parse; two spellings of
+// one query take two entries. Streaming-matcher results are keyed apart.
 type cacheKey struct {
-	syn   string
-	query string // normalized (parsed and re-rendered) form; raw for plans
-	plan  bool   // plan entries key separately: same (scope, query) never collides
+	id     uint64
+	query  string
+	stream bool
 }
 
+// cacheEntry is one query's compiled plan and the estimate it produced at
+// snapshot version ver.
 type cacheEntry struct {
-	key  cacheKey
-	val  EstimateResult
-	plan *xseed.Plan // non-nil: a compiled-plan entry (val holds compile cost only)
-	ten  *Tenant     // owner, for quota accounting (nil: unaccounted)
+	key    cacheKey
+	plan   *xseed.Plan
+	planNs int64 // what parsing and compiling plan cost (part of val.CostNs)
+	val    EstimateResult
+	ver    uint64
+	ten    *Tenant // owner, for quota accounting (nil: unaccounted)
 }
 
 type cacheShard struct {
@@ -58,23 +67,20 @@ type cacheShard struct {
 	tenCount map[*Tenant]int
 }
 
-// Cache is a sharded LRU cache of estimate results keyed on (synopsis
-// scope, normalized query string), which also stores compiled query plans
-// keyed on (plan scope, raw query string) so repeat queries skip
-// parse + compile entirely. It serves repeat estimates without touching the
-// kernel/EPT machinery or any synopsis state. Invalidation is the
-// registry's job: estimate scopes embed the estimation-snapshot version
-// (Entry.scopeFor), so a mutation retires every cached estimate by
-// publishing the next snapshot; plan scopes are version-free (plans survive
-// feedback, which never changes the dictionary) and stale plans are
-// detected per-hit with Plan.CompatibleWith.
+// Cache is a sharded LRU cache holding one entry per query: its compiled
+// plan, its latest estimate, and the estimation-snapshot version that
+// estimate was computed at. It serves repeat estimates without touching the
+// kernel/EPT machinery or any synopsis state. Invalidation is by version: a
+// mutation publishes the next snapshot, which retires every stored estimate,
+// while plans — which depend only on the label dictionary — keep serving
+// until a subtree update grows it (Plan.CompatibleWith).
 type Cache struct {
 	shards     [numShards]cacheShard
-	hits       atomic.Int64
+	hits       atomic.Int64 // estimates served at the pinned version
 	misses     atomic.Int64
-	planHits   atomic.Int64 // compiled-plan lookups, counted apart from estimates
+	planHits   atomic.Int64 // lookups that found a plan current for the pinned snapshot
 	planMisses atomic.Int64
-	costSaved  atomic.Int64 // Σ CostNs of served hits (estimates and plans)
+	costSaved  atomic.Int64 // Σ cost skipped by served hits (whole estimates and plans)
 	evictions  atomic.Int64
 }
 
@@ -103,102 +109,103 @@ func NewCache(capacity int) *Cache {
 }
 
 func (c *Cache) shardFor(k cacheKey) int {
-	h := pathhash.String(k.syn)
-	h = pathhash.AddLabel(h, k.query)
-	return int(h % numShards)
+	return int(pathhash.AddLabel(uint32(k.id), k.query) % numShards)
 }
 
-// Get returns the cached result for (syn, query), if present. ten (may be
-// nil) receives the tenant-scoped hit/miss accounting: the counters are
-// striped per shard and bumped under the shard lock already held, so tenant
-// stats add no atomics contended across shards.
-func (c *Cache) Get(syn, query string, ten *Tenant) (EstimateResult, bool) {
-	k := cacheKey{syn: syn, query: query}
+// Get looks k up for a batch pinned to sn. It returns the entry's plan, with
+// the parse and compile cost recorded for it, when that plan is current for
+// sn, and the estimate (hit true) only when it was computed at sn's version;
+// a plan alone lets the caller rerun it without parse or compile, and hand
+// planNs back to Put. ten (may be nil) receives the tenant-scoped estimate
+// hit/miss accounting, striped per shard and bumped under the shard lock
+// already held, so tenant stats add no atomics contended across shards.
+func (c *Cache) Get(k cacheKey, sn *xseed.Snapshot, ten *Tenant) (plan *xseed.Plan, planNs int64, v EstimateResult, hit bool) {
 	si := c.shardFor(k)
 	s := &c.shards[si]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[k]; ok {
 		e := el.Value.(*cacheEntry)
-		s.ll.MoveToFront(el)
+		if e.ver == sn.Version() {
+			hit, plan, planNs, v = true, e.plan, e.planNs, e.val
+			c.costSaved.Add(e.val.CostNs)
+		} else if e.plan.CompatibleWith(sn) {
+			plan, planNs = e.plan, e.planNs
+			c.costSaved.Add(e.planNs)
+		}
+		if plan != nil {
+			s.ll.MoveToFront(el)
+		}
+	}
+	if plan != nil {
+		c.planHits.Add(1)
+	} else {
+		c.planMisses.Add(1)
+	}
+	if hit {
 		c.hits.Add(1)
 		if ten != nil {
 			ten.hits.add(si)
 		}
-		c.costSaved.Add(e.val.CostNs)
-		return e.val, true
-	}
-	c.misses.Add(1)
-	if ten != nil {
-		ten.misses.add(si)
-	}
-	return EstimateResult{}, false
-}
-
-// Put stores a result, evicting from the shard's least-recently-used tail
-// when the shard is full, and from the owning tenant's own entries when its
-// quota is full.
-func (c *Cache) Put(syn, query string, v EstimateResult, ten *Tenant) {
-	c.put(&cacheEntry{key: cacheKey{syn: syn, query: query}, val: v, ten: ten})
-}
-
-// GetPlan returns the cached compiled plan for (scope, raw query) when it
-// is present AND still authoritative for the pinned snapshot sn. A stale
-// plan (the dictionary grew since compilation) counts as a miss — no hit
-// counter, no costSaved credit, no LRU refresh — since the caller re-pays
-// the full parse + compile and overwrites the entry via PutPlan.
-func (c *Cache) GetPlan(scope, raw string, sn *xseed.Snapshot) (*xseed.Plan, bool) {
-	k := cacheKey{syn: scope, query: raw, plan: true}
-	s := &c.shards[c.shardFor(k)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		if e := el.Value.(*cacheEntry); e.plan.CompatibleWith(sn) {
-			s.ll.MoveToFront(el)
-			c.planHits.Add(1)
-			c.costSaved.Add(e.val.CostNs)
-			return e.plan, true
+	} else {
+		c.misses.Add(1)
+		if ten != nil {
+			ten.misses.add(si)
 		}
 	}
-	c.planMisses.Add(1)
-	return nil, false
+	return plan, planNs, v, hit
 }
 
-// PutPlan stores a compiled plan; costNs is what parse + compile cost. Plan
-// entries count toward the owning tenant's cache quota like estimate
-// entries do (both occupy the same capacity).
-func (c *Cache) PutPlan(scope, raw string, p *xseed.Plan, costNs int64, ten *Tenant) {
-	c.put(&cacheEntry{key: cacheKey{syn: scope, query: raw, plan: true}, val: EstimateResult{CostNs: costNs}, plan: p, ten: ten})
+// countRepeatHits credits n estimates served from the cache without a
+// probe of their own — a batch's repeats of queries whose probe hit — as
+// the hits their probes would have been: an estimate hit and a plan hit
+// each, and saved the cost their entries record.
+func (c *Cache) countRepeatHits(n int, savedNs int64, ten *Tenant) {
+	c.hits.Add(int64(n))
+	c.planHits.Add(int64(n))
+	c.costSaved.Add(savedNs)
+	if ten != nil {
+		ten.hits[0].Add(int64(n)) // any stripe: one add per batch
+	}
 }
 
-func (c *Cache) put(e *cacheEntry) {
-	si := c.shardFor(e.key)
+// Put stores plan and the estimate v it produced at snapshot version ver;
+// planNs is what parsing and compiling plan cost (for a plan Get supplied,
+// the cost Get returned with it, so an entry evicted and recreated in
+// between keeps its full cost). A fill never replaces a newer version's
+// estimate: a batch pinned to an older snapshot can finish last. A new entry
+// evicts from the shard's least-recently-used tail when the shard is full,
+// and from the owning tenant's own entries when its quota is full.
+func (c *Cache) Put(k cacheKey, plan *xseed.Plan, planNs int64, v EstimateResult, ver uint64, ten *Tenant) {
+	si := c.shardFor(k)
 	s := &c.shards[si]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[e.key]; ok {
-		// Replacement: the key embeds the tenant-qualified scope, so the
-		// owner cannot change and occupancy counts stay put.
-		e.ten = el.Value.(*cacheEntry).ten
-		*el.Value.(*cacheEntry) = *e
+	v.CostNs += planNs
+	if el, ok := s.items[k]; ok { // refill: same owner, occupancy stays put
+		e := el.Value.(*cacheEntry)
+		if e.ver > ver {
+			return
+		}
+		e.plan, e.planNs, e.val, e.ver = plan, planNs, v, ver
 		s.ll.MoveToFront(el)
 		return
 	}
 	if s.cap == 0 {
 		return
 	}
-	if t := e.ten; t != nil && t.cacheQuota > 0 && s.tenCount[t] >= t.quotaForShard(si) {
+	if ten != nil && ten.cacheQuota > 0 && s.tenCount[ten] >= ten.quotaForShard(si) {
 		// Over quota: this fill may only displace one of the tenant's own
 		// entries. A zero per-shard quota admits nothing (exactly like a
 		// zero-capacity shard).
-		if !s.evictOwn(t) {
+		if !s.evictOwn(ten) {
 			return
 		}
 		c.evictions.Add(1)
 	}
-	s.items[e.key] = s.ll.PushFront(e)
-	if e.ten != nil {
-		s.tenCount[e.ten]++
+	s.items[k] = s.ll.PushFront(&cacheEntry{key: k, plan: plan, planNs: planNs, val: v, ver: ver, ten: ten})
+	if ten != nil {
+		s.tenCount[ten]++
 	}
 	if s.ll.Len() > s.cap {
 		s.evict()
@@ -232,27 +239,22 @@ func (s *cacheShard) removeEntry(el *list.Element, e *cacheEntry) {
 }
 
 // evict removes one entry: the cheapest (lowest CostNs) among the
-// evictionWindow least recently used that share the LRU entry's scope, so
-// the tail's expensive entries survive a flood of cheap same-scope ones.
-// The cost tiebreak deliberately never reaches across scopes: entries of a
-// retired snapshot scope are unreachable, and letting a dead-but-expensive
-// entry outrank live cheap fills would pin it forever in small shards —
-// across scopes, plain LRU order applies and dead scopes age out normally.
+// evictionWindow least recently used that belong to the LRU entry's
+// synopsis registration, so the tail's expensive entries survive a flood of
+// cheap ones. The cost tiebreak deliberately never reaches across
+// registrations: a replaced or deleted synopsis's entries are unreachable,
+// and letting a dead-but-expensive entry outrank live cheap fills would pin
+// it forever in small shards — across registrations, plain LRU order
+// applies and dead entries age out normally.
 func (s *cacheShard) evict() {
-	victim := s.ll.Back()
-	scope := victim.Value.(*cacheEntry).key.syn
-	el := victim
-	for i := 1; i < evictionWindow && el != nil; i++ {
-		el = el.Prev()
-		if el == nil {
-			break
-		}
-		e := el.Value.(*cacheEntry)
-		if e.key.syn == scope && e.val.CostNs < victim.Value.(*cacheEntry).val.CostNs {
-			victim = el
+	vel := s.ll.Back()
+	victim := vel.Value.(*cacheEntry)
+	for i, el := 1, vel.Prev(); i < evictionWindow && el != nil; i, el = i+1, el.Prev() {
+		if e := el.Value.(*cacheEntry); e.key.id == victim.key.id && e.val.CostNs < victim.val.CostNs {
+			vel, victim = el, e
 		}
 	}
-	s.removeEntry(victim, victim.Value.(*cacheEntry))
+	s.removeEntry(vel, victim)
 }
 
 // TenantEntries reports how many cache entries t occupies across shards

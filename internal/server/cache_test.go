@@ -8,64 +8,90 @@ import (
 	"xseed"
 )
 
+// fixtureSnapshot returns the Figure 2 synopsis and its current snapshot.
+func fixtureSnapshot(t testing.TB) (*xseed.Synopsis, *xseed.Snapshot) {
+	t.Helper()
+	_, syn := buildFixtureSynopsis(t, nil)
+	return syn, syn.Snapshot()
+}
+
+// putAt compiles q against sn and fills its entry of synopsis id at sn's
+// version, with no parse + compile cost on record.
+func putAt(c *Cache, sn *xseed.Snapshot, id uint64, q string, v EstimateResult, ten *Tenant) *xseed.Plan {
+	pl := sn.Compile(xseed.MustParseQuery(q))
+	c.Put(cacheKey{id: id, query: q}, pl, 0, v, sn.Version(), ten)
+	return pl
+}
+
+// getAt looks q of synopsis id up for a batch pinned to sn.
+func getAt(c *Cache, sn *xseed.Snapshot, id uint64, q string, ten *Tenant) (EstimateResult, bool) {
+	_, _, v, ok := c.Get(cacheKey{id: id, query: q}, sn, ten)
+	return v, ok
+}
+
 func TestCacheGetPut(t *testing.T) {
+	_, sn := fixtureSnapshot(t)
 	c := NewCache(64)
-	if _, ok := c.Get("s", "/a/b", nil); ok {
+	if _, ok := getAt(c, sn, 1, "/a/b", nil); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("s", "/a/b", EstimateResult{Est: 7}, nil)
-	v, ok := c.Get("s", "/a/b", nil)
+	putAt(c, sn, 1, "/a/b", EstimateResult{Est: 7}, nil)
+	v, ok := getAt(c, sn, 1, "/a/b", nil)
 	if !ok || v.Est != 7 {
 		t.Fatalf("got %v %v, want 7 true", v, ok)
 	}
 	// Same query under another synopsis is a distinct key.
-	if _, ok := c.Get("other", "/a/b", nil); ok {
+	if _, ok := getAt(c, sn, 2, "/a/b", nil); ok {
 		t.Fatal("key leaked across synopses")
 	}
+	// The streaming matcher's answer is keyed apart.
+	if _, _, _, ok := c.Get(cacheKey{id: 1, query: "/a/b", stream: true}, sn, nil); ok {
+		t.Fatal("streaming lookup served the standard matcher's estimate")
+	}
 	// Overwrite.
-	c.Put("s", "/a/b", EstimateResult{Est: 9, Streamed: true}, nil)
-	v, _ = c.Get("s", "/a/b", nil)
+	putAt(c, sn, 1, "/a/b", EstimateResult{Est: 9, Streamed: true}, nil)
+	v, _ = getAt(c, sn, 1, "/a/b", nil)
 	if v.Est != 9 || !v.Streamed {
 		t.Fatalf("overwrite lost: %v", v)
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want entries=1 hits=2 misses=2", st)
+	if st.Entries != 1 || st.Hits != 2 || st.Misses != 3 {
+		t.Fatalf("stats = %+v, want entries=1 hits=2 misses=3", st)
 	}
-	if st.HitRate != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", st.HitRate)
+	if st.HitRate != 0.4 {
+		t.Fatalf("hit rate = %v, want 0.4", st.HitRate)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
+	_, sn := fixtureSnapshot(t)
 	// Capacity numShards means one entry per shard: inserting two keys that
 	// land in the same shard must evict the older one.
 	c := NewCache(numShards)
-	var a, b string
-	keys := make(map[uint32]string)
-	for i := 0; ; i++ {
-		q := fmt.Sprintf("/q%d", i)
-		k := cacheKey{syn: "s", query: q}
-		idx := uint32(0)
-		for j := range c.shards {
-			if c.shardFor(k) == j {
-				idx = uint32(j)
-				break
-			}
-		}
-		if prev, ok := keys[idx]; ok {
-			a, b = prev, q
-			break
-		}
-		keys[idx] = q
-	}
-	c.Put("s", a, EstimateResult{Est: 1}, nil)
-	c.Put("s", b, EstimateResult{Est: 2}, nil)
-	if _, ok := c.Get("s", a, nil); ok {
+	keys := sameShardKeys(c, 1, 2)
+	a, b := keys[0], keys[1]
+	putAt(c, sn, 1, a, EstimateResult{Est: 1}, nil)
+	putAt(c, sn, 1, b, EstimateResult{Est: 2}, nil)
+	if _, ok := getAt(c, sn, 1, a, nil); ok {
 		t.Fatalf("%s should have been evicted by %s", a, b)
 	}
-	if v, ok := c.Get("s", b, nil); !ok || v.Est != 2 {
+	if v, ok := getAt(c, sn, 1, b, nil); !ok || v.Est != 2 {
 		t.Fatalf("%s missing after eviction of %s", b, a)
+	}
+
+	// A lookup refreshes recency: with room for two, touching the older
+	// entry makes the newer one the victim of a third fill.
+	c = NewCache(2 * numShards)
+	keys = sameShardKeys(c, 1, 3)
+	putAt(c, sn, 1, keys[0], EstimateResult{Est: 1}, nil)
+	putAt(c, sn, 1, keys[1], EstimateResult{Est: 2}, nil)
+	getAt(c, sn, 1, keys[0], nil)
+	putAt(c, sn, 1, keys[2], EstimateResult{Est: 3}, nil)
+	if _, ok := getAt(c, sn, 1, keys[1], nil); ok {
+		t.Fatal("least recently used entry survived")
+	}
+	if _, ok := getAt(c, sn, 1, keys[0], nil); !ok {
+		t.Fatal("recently read entry was evicted")
 	}
 }
 
@@ -73,10 +99,11 @@ func TestCacheLRUEviction(t *testing.T) {
 // a true total bound, not a per-shard round-up (capacity 1 used to inflate
 // to one entry per shard, 16 resident).
 func TestCacheCapacityBound(t *testing.T) {
+	_, sn := fixtureSnapshot(t)
 	for _, capacity := range []int{1, 2, 7, numShards, 33, 100} {
 		c := NewCache(capacity)
 		for i := 0; i < 500; i++ {
-			c.Put("s", fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, nil)
+			putAt(c, sn, 1, fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, nil)
 		}
 		if got := c.Stats().Entries; got > capacity {
 			t.Errorf("capacity %d: %d resident entries", capacity, got)
@@ -87,19 +114,18 @@ func TestCacheCapacityBound(t *testing.T) {
 	var kept string
 	for i := 0; ; i++ {
 		q := fmt.Sprintf("/q%d", i)
-		if c.shardFor(cacheKey{syn: "s", query: q}) == 0 {
+		if c.shardFor(cacheKey{id: 1, query: q}) == 0 {
 			kept = q
 			break
 		}
 	}
-	c.Put("s", kept, EstimateResult{Est: 42}, nil)
-	if v, ok := c.Get("s", kept, nil); !ok || v.Est != 42 {
+	putAt(c, sn, 1, kept, EstimateResult{Est: 42}, nil)
+	if v, ok := getAt(c, sn, 1, kept, nil); !ok || v.Est != 42 {
 		t.Fatalf("capacity-1 cache lost its only admissible entry: %v %v", v, ok)
 	}
 	// Keys hashing to zero-capacity shards are refused, not crashed on.
 	for i := 0; i < 64; i++ {
-		q := fmt.Sprintf("/z%d", i)
-		c.Put("s", q, EstimateResult{Est: 1}, nil)
+		putAt(c, sn, 1, fmt.Sprintf("/z%d", i), EstimateResult{Est: 1}, nil)
 	}
 	if got := c.Stats().Entries; got > 1 {
 		t.Fatalf("capacity-1 cache holds %d entries", got)
@@ -107,6 +133,7 @@ func TestCacheCapacityBound(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
+	syn, sn := fixtureSnapshot(t)
 	c := NewCache(256)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -115,24 +142,28 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				q := fmt.Sprintf("/q%d", i%64)
-				c.Put("s", q, EstimateResult{Est: float64(i)}, nil)
-				c.Get("s", q, nil)
+				putAt(c, sn, 1, q, EstimateResult{Est: float64(i)}, nil)
+				getAt(c, sn, 1, q, nil)
+				getAt(c, syn.Snapshot(), 1, q, nil)
 				c.Stats()
 			}
 		}(g)
 	}
+	// Publishes race the fills: lookups at the newer versions serve plans.
+	for i := 0; i < 50; i++ {
+		syn.Publish()
+	}
 	wg.Wait()
 }
 
-// sameShardKeys returns n query strings that all land in the shard holding
-// capacity in a NewCache(numShards) layout (one entry per shard), so
-// eviction behavior is deterministic.
-func sameShardKeys(c *Cache, syn string, n int) []string {
+// sameShardKeys returns n query strings of synopsis id that all land in
+// one shard of c, so eviction behavior is deterministic.
+func sameShardKeys(c *Cache, id uint64, n int) []string {
 	var out []string
-	target := c.shardFor(cacheKey{syn: syn, query: "/probe"})
+	target := c.shardFor(cacheKey{id: id, query: "/probe"})
 	for i := 0; len(out) < n; i++ {
 		q := fmt.Sprintf("/k%d", i)
-		if c.shardFor(cacheKey{syn: syn, query: q}) == target {
+		if c.shardFor(cacheKey{id: id, query: q}) == target {
 			out = append(out, q)
 		}
 	}
@@ -144,127 +175,217 @@ func sameShardKeys(c *Cache, syn string, n int) []string {
 // (deep/recursive) estimate outlives a flood of cheap ones regardless of
 // insertion order, while equal costs keep plain LRU order.
 func TestCacheCostAwareEviction(t *testing.T) {
+	_, sn := fixtureSnapshot(t)
 	// Expensive first, cheap second: the cheap newcomer is the victim.
 	c := NewCache(numShards)
-	keys := sameShardKeys(c, "s", 3)
-	c.Put("s", keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
-	c.Put("s", keys[1], EstimateResult{Est: 2, CostNs: 10}, nil)
-	if _, ok := c.Get("s", keys[0], nil); !ok {
+	keys := sameShardKeys(c, 1, 3)
+	putAt(c, sn, 1, keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
+	putAt(c, sn, 1, keys[1], EstimateResult{Est: 2, CostNs: 10}, nil)
+	if _, ok := getAt(c, sn, 1, keys[0], nil); !ok {
 		t.Fatal("expensive entry evicted by a cheap newcomer")
 	}
-	if _, ok := c.Get("s", keys[1], nil); ok {
+	if _, ok := getAt(c, sn, 1, keys[1], nil); ok {
 		t.Fatal("cheap newcomer admitted over a more expensive resident")
 	}
 
 	// Cheap first, expensive second: the cheap resident is the victim.
 	c = NewCache(numShards)
-	c.Put("s", keys[0], EstimateResult{Est: 1, CostNs: 10}, nil)
-	c.Put("s", keys[1], EstimateResult{Est: 2, CostNs: 1_000_000}, nil)
-	if _, ok := c.Get("s", keys[1], nil); !ok {
+	putAt(c, sn, 1, keys[0], EstimateResult{Est: 1, CostNs: 10}, nil)
+	putAt(c, sn, 1, keys[1], EstimateResult{Est: 2, CostNs: 1_000_000}, nil)
+	if _, ok := getAt(c, sn, 1, keys[1], nil); !ok {
 		t.Fatal("expensive newcomer not admitted")
 	}
-	if _, ok := c.Get("s", keys[0], nil); ok {
+	if _, ok := getAt(c, sn, 1, keys[0], nil); ok {
 		t.Fatal("cheap resident survived an expensive newcomer")
+	}
+
+	// The cost compared is the whole one: a cheap run behind an expensive
+	// parse + compile still outranks a cheap entry.
+	c = NewCache(numShards)
+	c.Put(cacheKey{id: 1, query: keys[0]}, sn.Compile(xseed.MustParseQuery(keys[0])), 1_000_000,
+		EstimateResult{Est: 1, CostNs: 10}, sn.Version(), nil)
+	putAt(c, sn, 1, keys[1], EstimateResult{Est: 2, CostNs: 500}, nil)
+	if _, ok := getAt(c, sn, 1, keys[0], nil); !ok {
+		t.Fatal("entry with an expensive compile evicted by a cheaper newcomer")
 	}
 
 	// Equal costs: plain LRU (oldest goes) — the tiebreak never reorders
 	// recency among equals.
 	c = NewCache(numShards)
-	c.Put("s", keys[0], EstimateResult{Est: 1, CostNs: 50}, nil)
-	c.Put("s", keys[1], EstimateResult{Est: 2, CostNs: 50}, nil)
-	if _, ok := c.Get("s", keys[0], nil); ok {
+	putAt(c, sn, 1, keys[0], EstimateResult{Est: 1, CostNs: 50}, nil)
+	putAt(c, sn, 1, keys[1], EstimateResult{Est: 2, CostNs: 50}, nil)
+	if _, ok := getAt(c, sn, 1, keys[0], nil); ok {
 		t.Fatal("equal-cost eviction did not follow LRU order")
 	}
-	if _, ok := c.Get("s", keys[1], nil); !ok {
+	if _, ok := getAt(c, sn, 1, keys[1], nil); !ok {
 		t.Fatal("equal-cost newest entry missing")
 	}
 }
 
-// TestCacheCostSaved: every hit credits the entry's recorded compute cost
-// to the aggregate costSavedNs counter (estimates and compiled plans both).
+// TestCacheCostSaved: a hit at the pinned version credits the entry's whole
+// recorded cost (parse + compile + run) to costSavedNs, and a plan served
+// at a newer version credits its parse + compile cost.
 func TestCacheCostSaved(t *testing.T) {
+	syn, sn := fixtureSnapshot(t)
 	c := NewCache(64)
-	c.Put("s", "/a/b", EstimateResult{Est: 7, CostNs: 500}, nil)
-	c.Get("s", "/a/b", nil)
-	c.Get("s", "/a/b", nil)
-	c.Get("s", "/missing", nil) // misses credit nothing
-	if got := c.Stats().CostSavedNs; got != 1000 {
-		t.Fatalf("costSavedNs = %d, want 1000", got)
-	}
-	_, syn := buildFixtureSynopsis(t, nil)
-	sn := syn.Snapshot()
+	k := cacheKey{id: 1, query: "/a/b"}
 	p := sn.Compile(xseed.MustParseQuery("/a/b"))
-	c.PutPlan("plans", "/a/b", p, 200, nil)
-	if got, ok := c.GetPlan("plans", "/a/b", sn); !ok || got != p {
-		t.Fatalf("plan roundtrip failed: %v %v", got, ok)
+	c.Put(k, p, 200, EstimateResult{Est: 7, CostNs: 500}, sn.Version(), nil)
+	c.Get(k, sn, nil)
+	c.Get(k, sn, nil)
+	c.Get(cacheKey{id: 1, query: "/missing"}, sn, nil) // misses credit nothing
+	if got := c.Stats().CostSavedNs; got != 1400 {
+		t.Fatalf("costSavedNs = %d, want 1400", got)
 	}
-	c.GetPlan("plans", "/never-compiled", sn)
+	syn.Publish()
+	newer := syn.Snapshot()
+	got, planNs, _, ok := c.Get(k, newer, nil)
+	if ok || got != p || planNs != 200 {
+		t.Fatalf("lookup at a newer version = %v %d %v, want the plan, its compile cost 200 and no estimate", got, planNs, ok)
+	}
+	if got := c.Stats().CostSavedNs; got != 1600 {
+		t.Fatalf("costSavedNs after a plan hit = %d, want 1600", got)
+	}
+	// A refill hands back the compile cost the lookup returned.
+	c.Put(k, got, planNs, EstimateResult{Est: 8, CostNs: 300}, newer.Version(), nil)
+	if _, _, v, ok := c.Get(k, newer, nil); !ok || v.Est != 8 || v.CostNs != 500 {
+		t.Fatalf("refilled entry = %+v %v, want est 8 cost 500", v, ok)
+	}
 	st := c.Stats()
-	if st.CostSavedNs != 1200 {
-		t.Fatalf("costSavedNs after plan hit = %d, want 1200", st.CostSavedNs)
+	if st.CostSavedNs != 2100 {
+		t.Fatalf("costSavedNs after the refill hit = %d, want 2100", st.CostSavedNs)
 	}
-	// Plan lookups are counted apart from estimate hits/misses.
-	if st.PlanHits != 1 || st.PlanMisses != 1 {
-		t.Fatalf("plan counters = %d/%d, want 1/1", st.PlanHits, st.PlanMisses)
+	if st.PlanHits != 4 || st.PlanMisses != 1 || st.Hits != 3 || st.Misses != 2 {
+		t.Fatalf("counters = %+v, want planHits=4 planMisses=1 hits=3 misses=2", st)
 	}
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("estimate counters moved with plan traffic: %d/%d", st.Hits, st.Misses)
+}
+
+// TestCacheRecreatedEntryKeepsCompileCost: when the entry whose plan a
+// lookup served is evicted before the fill, the fill recreates it with the
+// compile cost the lookup returned, so eviction and costSavedNs still see
+// the whole parse + compile + run cost.
+func TestCacheRecreatedEntryKeepsCompileCost(t *testing.T) {
+	syn, sn := fixtureSnapshot(t)
+	c := NewCache(numShards) // one entry per shard
+	keys := sameShardKeys(c, 1, 2)
+	k := cacheKey{id: 1, query: keys[0]}
+	c.Put(k, sn.Compile(xseed.MustParseQuery("/a/b")), 200, EstimateResult{Est: 7, CostNs: 100}, sn.Version(), nil)
+	syn.Publish()
+	newer := syn.Snapshot()
+	pl, planNs, _, _ := c.Get(k, newer, nil)
+	putAt(c, newer, 1, keys[1], EstimateResult{Est: 1}, nil) // evicts k
+	if _, ok := getAt(c, newer, 1, keys[0], nil); ok {
+		t.Fatal("entry survived a full shard's next fill")
+	}
+	c.Put(k, pl, planNs, EstimateResult{Est: 8, CostNs: 300}, newer.Version(), nil)
+	if v, ok := getAt(c, newer, 1, keys[0], nil); !ok || v.CostNs != 500 {
+		t.Fatalf("recreated entry = %+v %v, want cost 200 + 300", v, ok)
 	}
 }
 
 // TestCacheCostEvictionScopeBound: the cost tiebreak never reaches across
-// scopes — an expensive entry of a retired (unreachable) scope at the LRU
-// tail must not outrank live cheap fills, or a small shard would starve.
+// synopsis registrations — an expensive entry of a retired (unreachable)
+// registration at the LRU tail must not outrank live cheap fills, or a
+// small shard would starve.
 func TestCacheCostEvictionScopeBound(t *testing.T) {
+	_, sn := fixtureSnapshot(t)
 	c := NewCache(numShards)
-	keys := sameShardKeys(c, "dead", 2)
-	c.Put("dead", keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
-	// A different scope's cheap fill lands in the same shard (scope strings
-	// share the shard only via hashing — force it by probing).
-	var liveScope string
-	target := c.shardFor(cacheKey{syn: "dead", query: keys[0]})
-	for i := 0; ; i++ {
-		s := fmt.Sprintf("live%d", i)
-		if c.shardFor(cacheKey{syn: s, query: keys[0]}) == target {
-			liveScope = s
-			break
-		}
+	const dead = 1
+	keys := sameShardKeys(c, dead, 2)
+	putAt(c, sn, dead, keys[0], EstimateResult{Est: 1, CostNs: 1_000_000}, nil)
+	// Another registration's cheap fill lands in the same shard: find an id
+	// that hashes there.
+	live, target := uint64(2), c.shardFor(cacheKey{id: dead, query: keys[0]})
+	for c.shardFor(cacheKey{id: live, query: keys[0]}) != target {
+		live++
 	}
-	c.Put(liveScope, keys[0], EstimateResult{Est: 2, CostNs: 10}, nil)
-	if _, ok := c.Get(liveScope, keys[0], nil); !ok {
-		t.Fatal("live cheap fill starved by a dead scope's expensive entry")
+	putAt(c, sn, live, keys[0], EstimateResult{Est: 2, CostNs: 10}, nil)
+	if _, ok := getAt(c, sn, live, keys[0], nil); !ok {
+		t.Fatal("live cheap fill starved by a dead registration's expensive entry")
 	}
-	if _, ok := c.Get("dead", keys[0], nil); ok {
-		t.Fatal("dead-scope LRU-tail entry survived cross-scope pressure")
+	if _, ok := getAt(c, sn, dead, keys[0], nil); ok {
+		t.Fatal("dead registration's LRU-tail entry survived cross-registration pressure")
 	}
 }
 
-// TestCachePlanEstimateNamespaces: a plan entry never answers an estimate
-// Get and vice versa, even under an identical (scope, key) pair — and a
-// plan compiled before the dictionary grew counts as a miss, not a hit.
-func TestCachePlanEstimateNamespaces(t *testing.T) {
-	_, syn := buildFixtureSynopsis(t, nil)
-	sn := syn.Snapshot()
+// TestCacheNewerVersionServesPlanOnly: after a publish the entry's estimate
+// is stale, but its plan is still current, so a lookup returns the plan
+// with no estimate and counts a plan hit and an estimate miss.
+func TestCacheNewerVersionServesPlanOnly(t *testing.T) {
+	syn, sn := fixtureSnapshot(t)
 	c := NewCache(64)
-	c.PutPlan("s", "/a/b", sn.Compile(xseed.MustParseQuery("/a/b")), 1, nil)
-	if _, ok := c.Get("s", "/a/b", nil); ok {
-		t.Fatal("estimate Get answered by a plan entry")
+	p := putAt(c, sn, 1, "/a/c/s", EstimateResult{Est: 5}, nil)
+	syn.Publish()
+	newer := syn.Snapshot()
+	before := c.Stats()
+	got, _, v, ok := c.Get(cacheKey{id: 1, query: "/a/c/s"}, newer, nil)
+	if ok || got != p || v != (EstimateResult{}) {
+		t.Fatalf("lookup at version %d = %v %+v %v, want the plan only", newer.Version(), got, v, ok)
 	}
-	c.Put("s", "/a/c", EstimateResult{Est: 3}, nil)
-	if _, ok := c.GetPlan("s", "/a/c", sn); ok {
-		t.Fatal("GetPlan answered by an estimate entry")
+	after := c.Stats()
+	if after.PlanHits != before.PlanHits+1 || after.Hits != before.Hits || after.Misses != before.Misses+1 {
+		t.Fatalf("counters %+v -> %+v, want planHits+1 hits+0 misses+1", before, after)
 	}
-	// Staleness is the cache's own concern: grow the dictionary via a
-	// subtree update and the cached plan must stop hitting.
+}
+
+// TestCacheOlderFillKeepsNewerEstimate: a batch pinned to an older snapshot
+// can finish after one pinned to a newer snapshot; its fill must not
+// replace the newer estimate.
+func TestCacheOlderFillKeepsNewerEstimate(t *testing.T) {
+	syn, older := fixtureSnapshot(t)
+	syn.Publish()
+	newer := syn.Snapshot()
+	c := NewCache(64)
+	putAt(c, newer, 1, "/a/c/s", EstimateResult{Est: 2}, nil)
+	putAt(c, older, 1, "/a/c/s", EstimateResult{Est: 1}, nil)
+	if v, ok := getAt(c, newer, 1, "/a/c/s", nil); !ok || v.Est != 2 {
+		t.Fatalf("newer estimate = %v %v, want 2 true", v, ok)
+	}
+	if _, ok := getAt(c, older, 1, "/a/c/s", nil); ok {
+		t.Fatal("the older version's estimate was stored over the newer one")
+	}
+}
+
+// TestCacheStalePlanIsMiss: a plan compiled before the dictionary grew is a
+// miss, not a hit — no plan, no estimate, no hit counter, no costSaved
+// credit — since the caller re-pays the full parse + compile.
+func TestCacheStalePlanIsMiss(t *testing.T) {
+	syn, sn := fixtureSnapshot(t)
+	c := NewCache(64)
+	c.Put(cacheKey{id: 1, query: "/a/b"}, sn.Compile(xseed.MustParseQuery("/a/b")), 100,
+		EstimateResult{Est: 3, CostNs: 100}, sn.Version(), nil)
 	if err := syn.AddSubtree([]string{"a"}, "<brandnewlabel/>"); err != nil {
 		t.Fatal(err)
 	}
 	grown := syn.Snapshot()
-	before := c.Stats().PlanHits
-	if _, ok := c.GetPlan("s", "/a/b", grown); ok {
-		t.Fatal("stale plan served after dictionary growth")
+	before := c.Stats()
+	if pl, _, _, ok := c.Get(cacheKey{id: 1, query: "/a/b"}, grown, nil); pl != nil || ok {
+		t.Fatalf("stale plan served after dictionary growth: %v %v", pl, ok)
 	}
-	if c.Stats().PlanHits != before {
-		t.Fatal("stale plan lookup counted as a hit")
+	after := c.Stats()
+	if after.PlanHits != before.PlanHits || after.PlanMisses != before.PlanMisses+1 ||
+		after.Hits != before.Hits || after.CostSavedNs != before.CostSavedNs {
+		t.Fatalf("stale plan lookup counted as a hit: %+v -> %+v", before, after)
+	}
+}
+
+// TestCacheOneEntryPerQuery: a query's plan and estimate share one entry,
+// across refills at newer versions too.
+func TestCacheOneEntryPerQuery(t *testing.T) {
+	syn, sn := fixtureSnapshot(t)
+	c := NewCache(64)
+	k := cacheKey{id: 1, query: "/a/c/s"}
+	p := putAt(c, sn, 1, k.query, EstimateResult{Est: 5}, nil)
+	for i := 0; i < 3; i++ {
+		syn.Publish()
+		newer := syn.Snapshot()
+		pl, planNs, _, _ := c.Get(k, newer, nil)
+		c.Put(k, pl, planNs, EstimateResult{Est: 5}, newer.Version(), nil)
+		if pl != p {
+			t.Fatalf("refill %d recompiled the plan", i)
+		}
+	}
+	if got := c.Stats().Entries; got != 1 {
+		t.Fatalf("one query occupies %d entries", got)
 	}
 }

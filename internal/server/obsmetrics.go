@@ -57,19 +57,19 @@ func newRegMetrics(om *obs.Registry) *regMetrics {
 func (m *regMetrics) wire(r *Registry) {
 	c := r.cache
 	m.om.CounterFunc("xseed_cache_hits_total",
-		"Estimate-result cache hits.", func() uint64 { return uint64(c.hits.Load()) })
+		"Estimates served from the cache at the pinned snapshot version (a batch's repeat of a cached query counts too).", func() uint64 { return uint64(c.hits.Load()) })
 	m.om.CounterFunc("xseed_cache_misses_total",
-		"Estimate-result cache misses.", func() uint64 { return uint64(c.misses.Load()) })
+		"Distinct queries of a batch whose estimate the cache could not serve at the pinned snapshot version.", func() uint64 { return uint64(c.misses.Load()) })
 	m.om.CounterFunc("xseed_cache_evictions_total",
-		"Cache entries evicted (estimates and compiled plans).", func() uint64 { return uint64(c.evictions.Load()) })
+		"Cache entries evicted.", func() uint64 { return uint64(c.evictions.Load()) })
 	m.om.CounterFunc("xseed_cache_cost_saved_ns_total",
 		"Recorded compute cost of every served cache hit, in nanoseconds.", func() uint64 { return uint64(c.costSaved.Load()) })
 	m.om.CounterFunc("xseed_plan_cache_hits_total",
-		"Compiled-plan cache hits.", func() uint64 { return uint64(c.planHits.Load()) })
+		"Estimates that found a cached plan current for the pinned snapshot: every estimate hit, and every rerun of a kept plan.", func() uint64 { return uint64(c.planHits.Load()) })
 	m.om.CounterFunc("xseed_plan_cache_misses_total",
-		"Compiled-plan cache misses (including stale plans recompiled in place).", func() uint64 { return uint64(c.planMisses.Load()) })
+		"Distinct queries of a batch for which the cache held no plan current for the pinned snapshot (absent, or compiled before the dictionary grew).", func() uint64 { return uint64(c.planMisses.Load()) })
 	m.om.GaugeFunc("xseed_cache_entries",
-		"Entries resident in the estimate cache (estimates and compiled plans).",
+		"Entries resident in the estimate cache, one per query (its plan and estimate).",
 		func() float64 { return float64(c.Stats().Entries) })
 	m.om.GaugeFunc("xseed_synopses",
 		"Registered synopses.", func() float64 {

@@ -1,16 +1,18 @@
 // Package server is the xseedd serving subsystem: a concurrent registry of
-// named XSEED synopses, a sharded LRU cache of estimate results and
-// compiled query plans, and an HTTP JSON API over both.
+// named XSEED synopses, a sharded LRU cache with one entry per query (its
+// compiled plan and its estimate at one snapshot version), and an HTTP JSON
+// API over both.
 //
 // The estimate path is lock-free: a batch pins the synopsis's immutable
 // estimation snapshot (one atomic load), estimates every cache miss against
 // it — fanning large batches across a bounded worker pool — and caches
-// results under a scope embedding the snapshot's version, so a concurrent
-// mutation can never publish a stale value into the new scope. After the
-// entry lookup, the only synchronization an estimate touches is the cache's
-// fine-grained shard mutexes; it never acquires the entry's RWMutex, which
-// now exists solely to serialize mutators (feedback, subtree updates,
-// budget application, snapshot serialization) against each other.
+// results tagged with the snapshot's version, so an estimate answers only
+// batches pinned to that version and a concurrent mutation retires it by
+// publishing the next one. After the entry lookup, the only
+// synchronization an estimate touches is the cache's fine-grained shard
+// mutexes; it never acquires the entry's RWMutex, which now exists solely
+// to serialize mutators (feedback, subtree updates, budget application,
+// snapshot serialization) against each other.
 //
 // Budget rebalancing is split into planning and application: registry-shape
 // changes compute per-entry targets under the registry lock (no entry locks
@@ -121,29 +123,6 @@ type Entry struct {
 // Synopsis returns the underlying synopsis. Callers must hold the entry's
 // lock discipline themselves; it exists for tests and trusted callers.
 func (e *Entry) Synopsis() *xseed.Synopsis { return e.syn }
-
-// scopeFor is the cache's synopsis identifier for estimates computed
-// against sn: name plus the entry's registry-unique id plus the estimation
-// snapshot's version. A mutation publishes the successor snapshot inside
-// its critical section, so every later batch pins a higher version and the
-// old scope — including fills still in flight from readers pinned to the
-// old snapshot — is unreachable and ages out of the LRU. No stale value can
-// ever land in the new scope, because fills are keyed by the version the
-// value was computed from. The id covers replacement: when a name is Put
-// over or deleted and re-registered, the new entry's scope shares nothing
-// with the old one's.
-func (e *Entry) scopeFor(sn *xseed.Snapshot) string {
-	return fmt.Sprintf("%s\x00%d\x00%d", e.name, e.id, sn.Version())
-}
-
-// planScope keys the entry's compiled-plan cache. Deliberately
-// version-free: plans depend only on the label dictionary (append-only, so
-// only subtree updates can grow it), which is exactly why they survive the
-// feedback storms that retire every estimate scope; staleness after a
-// dictionary change is detected per-hit with Plan.CompatibleWith.
-func (e *Entry) planScope() string {
-	return fmt.Sprintf("%s\x00%d\x00plans", e.name, e.id)
-}
 
 // invalidate bumps the durable mutation counter persisted with base
 // snapshots. Cache invalidation no longer depends on it — that is the
@@ -572,12 +551,9 @@ func (r *Registry) Store() *store.Store {
 }
 
 // Restore registers a synopsis recovered from the store without writing a
-// new base snapshot. The cache-scope version resumes from the persisted
-// counter — today that is belt-and-braces (the estimate cache and the scope's
-// entry id are both per-process, so no pre-crash scope can be presented) and
-// doubles as a durable mutation count; it becomes load-bearing if the cache
-// ever moves out of process. Recovery runs before StartRebalancer, so the
-// rebalance each Restore triggers applies synchronously: when the last
+// new base snapshot. The durable mutation counter resumes from the
+// persisted one. Recovery runs before StartRebalancer, so the rebalance
+// each Restore triggers applies synchronously: when the last
 // synopsis is restored, every budget matches what a fresh plan over the full
 // registry would assign, with no worker racing the replay.
 func (r *Registry) Restore(l store.Loaded) (*Entry, error) {
@@ -698,8 +674,9 @@ func (r *Registry) register(name string, syn *xseed.Synopsis, source string, rep
 }
 
 // Put registers or replaces the synopsis under name. The replacement gets a
-// fresh cache scope, so estimates cached against the old synopsis — even by
-// requests still in flight — are unreachable afterwards.
+// fresh entry id, which cache keys carry, so estimates cached against the
+// old synopsis — even by requests still in flight — are unreachable
+// afterwards.
 func (r *Registry) Put(name string, syn *xseed.Synopsis, source string) (*Entry, error) {
 	return r.register(name, syn, source, true)
 }
@@ -802,7 +779,7 @@ func (r *Registry) AdoptReplica(l store.Loaded) (*Entry, error) {
 }
 
 // Delete removes the synopsis. Its cached estimates become unreachable
-// (the scope dies with the entry's id) and age out of the LRU, and its
+// (their keys carry the entry's id) and age out of the LRU, and its
 // persisted state is removed from the store. It takes registerMu so a
 // concurrent re-Add of the same name cannot write its new generation
 // between our map removal and our store removal — st.Remove would then wipe
@@ -882,19 +859,16 @@ const minParallelMisses = 8
 
 // EstimateBatch estimates queries in order against the named synopsis. The
 // estimate path is lock-free after the entry lookup: the batch pins the
-// synopsis's immutable estimation snapshot, resolves every query through
-// the compiled-plan cache (repeat queries skip parse + compile entirely),
-// answers what it can from the estimate cache, and computes the remaining
-// misses against the pinned snapshot — fanning out across a bounded worker
-// pool (GOMAXPROCS slots shared registry-wide) when the batch is large.
-// Results are
-// cached under a scope tagged with the snapshot's version, so a concurrent
-// mutation retires them wholesale by publishing the next version and no
-// stale value can cross into the new scope. Per-query parse errors are
-// reported in the item — typed, with the parse offset in the error detail —
-// not as a batch error (partial-success semantics, documented in
-// xseed/api). Cancelling ctx aborts the batch between per-query estimates
-// and fails the whole call with the context's error.
+// synopsis's immutable estimation snapshot and probes the cache once per
+// distinct raw query. A hit at the pinned version answers outright; a plan
+// still current is rerun without parse or compile; the rest are parsed and
+// compiled. Misses run against the pinned snapshot — fanning out across a
+// bounded worker pool (GOMAXPROCS slots shared registry-wide) when the batch
+// is large — and fill the cache tagged with its version. Per-query parse
+// errors are reported in the item — typed, with the parse offset in the
+// error detail — not as a batch error (partial-success semantics,
+// documented in xseed/api). Cancelling ctx aborts the batch between
+// per-query estimates and fails the whole call with the context's error.
 func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []string, streaming bool) ([]api.EstimateItem, error) {
 	e, err := r.Get(name)
 	if err != nil {
@@ -904,68 +878,85 @@ func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []str
 		return nil, err
 	}
 	sn := e.syn.Snapshot()
-	scope := e.scopeFor(sn)
-	planScope := e.planScope()
 	items := make([]api.EstimateItem, len(queries))
 	type miss struct {
-		plan    *xseed.Plan
-		key     string
-		indices []int // item positions sharing this normalized query
+		plan   *xseed.Plan
+		q      *xseed.Query // the tree just parsed, nil when the cache supplied the plan
+		planNs int64        // parse + compile, as measured or as the cache recorded it
+		i      int          // item position
 	}
-	var order []*miss // misses in first-seen order
-	misses := make(map[string]*miss)
+	type seen struct {
+		i     int   // first item position
+		saved int64 // the cost its cache hit saved (0: not a hit)
+	}
+	var (
+		order   []miss          // misses in first-seen order
+		first   map[string]seen // raw query → its first copy
+		dups    [][2]int        // (item, first item) pairs filled last
+		repeats int             // dups of cached items, with the cost they saved
+		saved   int64
+	)
+	if len(queries) > 1 {
+		first = make(map[string]seen, len(queries))
+	}
 	// The span accumulates each query's stage nanoseconds and flushes once
 	// per query; it is pooled and nil when instrumentation is disabled, so
 	// this loop allocates nothing for it and, disabled, reads no clocks.
 	sp := e.stages.Span()
 	defer sp.End()
 	for i, raw := range queries {
+		if first != nil {
+			if f, ok := first[raw]; ok {
+				dups = append(dups, [2]int{i, f.i})
+				if items[f.i].Cached {
+					repeats++
+					saved += f.saved
+				}
+				continue
+			}
+		}
 		sp.Reset()
-		pl, ok := r.cache.GetPlan(planScope, raw, sn)
+		k := cacheKey{id: e.id, query: raw, stream: streaming}
+		pl, planNs, v, hit := r.cache.Get(k, sn, e.ten)
 		sp.Mark(obs.StageCacheProbe)
-		if !ok {
+		if first != nil {
+			first[raw] = seen{i: i, saved: v.CostNs} // v is zero unless hit
+		}
+		if hit {
+			items[i] = api.EstimateItem{Query: pl.String(), Estimate: v.Est, Streamed: v.Streamed, Cached: true}
+			sp.Flush()
+			continue
+		}
+		m := miss{plan: pl, planNs: planNs, i: i}
+		if pl == nil {
 			start := time.Now()
 			q, err := xseed.ParseQuery(raw)
+			sp.Mark(obs.StageParse)
 			if err != nil {
-				sp.Mark(obs.StageParse)
 				sp.Flush()
 				items[i] = api.EstimateItem{Query: raw, Error: api.WrapError(err, api.CodeBadRequest)}
 				continue
 			}
-			sp.Mark(obs.StageParse)
-			pl = sn.Compile(q)
+			m.plan, m.q = sn.Compile(q), q
+			m.planNs = time.Since(start).Nanoseconds()
 			sp.Mark(obs.StageCompile)
-			r.cache.PutPlan(planScope, raw, pl, time.Since(start).Nanoseconds(), e.ten)
-			sp.Mark(obs.StageCacheProbe)
 		}
-		// The cache key is the normalized (parsed, re-rendered) query, so
-		// spelling variants of one query share an entry. Streaming-mode
-		// results are keyed separately: the single-pass matcher can produce
-		// slightly different values than the standard one, and a cached
-		// answer must come from the matcher the caller asked for.
-		norm := pl.String()
-		items[i].Query = norm
-		key := norm
-		if streaming {
-			key = "stream\x00" + norm
-		}
-		if m, ok := misses[key]; ok { // duplicate within the batch
-			m.indices = append(m.indices, i)
-			sp.Flush()
-			continue
-		}
-		if v, ok := r.cache.Get(scope, key, e.ten); ok {
-			items[i].Estimate, items[i].Streamed, items[i].Cached = v.Est, v.Streamed, true
-			sp.Mark(obs.StageCacheProbe)
-			sp.Flush()
-			continue
-		}
-		sp.Mark(obs.StageCacheProbe)
-		m := &miss{plan: pl, key: key, indices: []int{i}}
-		misses[key] = m
+		items[i].Query = m.plan.String()
 		order = append(order, m)
 		sp.Flush()
 	}
+	// A repeat of a cached item counts as the hit its own probe would have
+	// been; a repeat of anything else counts nothing, since it is served by
+	// its first copy's computation. Either way it copies its first copy's
+	// item once that item is final.
+	if repeats > 0 {
+		r.cache.countRepeatHits(repeats, saved, e.ten)
+	}
+	defer func() {
+		for _, d := range dups {
+			items[d[0]] = items[d[1]]
+		}
+	}()
 	if len(order) == 0 {
 		return items, nil
 	}
@@ -975,15 +966,15 @@ func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []str
 	// arbitrary query as the shard's most expensive entry and credit the
 	// whole construction to costSavedNs on every later hit.
 	sn.EPTStats()
-	// Compute the misses against the pinned snapshot. Every miss writes
-	// disjoint item slots, so workers need no coordination beyond the work
-	// index; the cache fill is safe at any time because the scope embeds the
-	// pinned snapshot's version (see scopeFor).
+	// Compute the misses against the pinned snapshot. Every miss writes its
+	// own item slot, so workers need no coordination beyond the work index;
+	// a fill carries the pinned version and never replaces a newer one.
+	ver := sn.Version()
 	run := func(m *miss) {
 		start := time.Now()
 		var v EstimateResult
 		if streaming {
-			v.Est, v.Streamed = m.plan.RunStreaming(sn)
+			v.Est, v.Streamed = m.plan.RunStreaming(sn, m.q)
 		} else {
 			v.Est = m.plan.Run(sn)
 		}
@@ -992,10 +983,8 @@ func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []str
 		// anyway — the stage breakdown adds zero clock reads here, and
 		// workers observe wait-free from any goroutine.
 		e.stages.Observe(obs.StagePlanRun, v.CostNs)
-		for _, i := range m.indices {
-			items[i].Estimate, items[i].Streamed = v.Est, v.Streamed
-		}
-		r.cache.Put(scope, m.key, v, e.ten)
+		items[m.i].Estimate, items[m.i].Streamed = v.Est, v.Streamed
+		r.cache.Put(cacheKey{id: e.id, query: queries[m.i], stream: streaming}, m.plan, m.planNs, v, ver, e.ten)
 	}
 	if len(order) >= minParallelMisses {
 		var next atomic.Int64
@@ -1005,7 +994,7 @@ func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []str
 				if i >= len(order) {
 					return
 				}
-				run(order[i])
+				run(&order[i])
 			}
 		}
 		// Helpers are best-effort: each needs a free slot from the
@@ -1032,11 +1021,11 @@ func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []str
 		process()
 		wg.Wait()
 	} else {
-		for _, m := range order {
+		for i := range order {
 			if ctx.Err() != nil {
 				break
 			}
-			run(m)
+			run(&order[i])
 		}
 	}
 	// The read path honors cancellation between per-query estimates: a

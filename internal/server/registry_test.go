@@ -76,13 +76,26 @@ func TestRegistryEstimateCaching(t *testing.T) {
 	if !second.Cached || second.Estimate != first.Estimate {
 		t.Fatalf("second = %+v, want cached repeat of %v", second, first.Estimate)
 	}
-	// A spelling variant normalizes to the same key.
-	variant, err := r.Estimate(context.Background(), "fig2", "/a/c/s", false)
+	// The cache is keyed by raw text, so that a hit skips the parse: a
+	// spelling variant takes its own entry, misses once, and answers the
+	// same estimate under the same normalized query.
+	spelled, err := r.EstimateBatch(context.Background(), "fig2", []string{"/a/c[//p]", "/a/c[.//p]"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !variant.Cached {
-		t.Fatalf("normalized variant missed the cache: %+v", variant)
+	a, b := spelled[0], spelled[1]
+	if a.Cached || b.Cached {
+		t.Fatalf("first sight of each spelling was served from the cache: %+v %+v", a, b)
+	}
+	if a.Query != b.Query || a.Estimate != b.Estimate || a.Query != "/a/c[.//p]" || a.Estimate <= 0 {
+		t.Fatalf("spelling variants disagree: %+v vs %+v", a, b)
+	}
+	variant, err := r.Estimate(context.Background(), "fig2", "/a/c[//p]", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !variant.Cached || variant.Query != a.Query || variant.Estimate != a.Estimate {
+		t.Fatalf("repeated spelling = %+v, want a cached repeat of %+v", variant, a)
 	}
 	// Streaming mode is keyed separately and reports its matcher.
 	stream, err := r.Estimate(context.Background(), "fig2", q, true)
@@ -91,6 +104,99 @@ func TestRegistryEstimateCaching(t *testing.T) {
 	}
 	if stream.Cached {
 		t.Fatal("streaming estimate hit the standard-matcher cache entry")
+	}
+}
+
+// TestRegistryFeedbackRerunsCachedPlan: feedback publishes a new snapshot,
+// so the next estimate of a cached query is recomputed — not Cached — from
+// the plan the cache kept, which counts a plan hit and no parse. The
+// streaming matcher reruns the same way, re-parsing the plan's normalized
+// text, and agrees with the library.
+func TestRegistryFeedbackRerunsCachedPlan(t *testing.T) {
+	for _, streaming := range []bool{false, true} {
+		_, syn := buildFixtureSynopsis(t, nil)
+		r := NewRegistry(0, 0)
+		if _, err := r.Add("fig2", syn, "test"); err != nil {
+			t.Fatal(err)
+		}
+		const q = "/a/c/s"
+		if _, err := r.Estimate(context.Background(), "fig2", q, streaming); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Feedback("fig2", q, 9); err != nil {
+			t.Fatal(err)
+		}
+		want, wantStreamed, err := syn.EstimateStreaming(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !streaming {
+			want, wantStreamed = 9, false
+		}
+		before := r.cache.Stats()
+		got, err := r.Estimate(context.Background(), "fig2", q, streaming)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cached || got.Estimate != want || got.Streamed != wantStreamed {
+			t.Fatalf("streaming=%v: estimate after feedback = %+v, want an uncached %v (streamed %v)", streaming, got, want, wantStreamed)
+		}
+		after := r.cache.Stats()
+		if after.PlanHits != before.PlanHits+1 || after.PlanMisses != before.PlanMisses || after.Hits != before.Hits {
+			t.Fatalf("streaming=%v: cache counters %+v -> %+v, want one plan hit and no estimate hit", streaming, before, after)
+		}
+		if again, _ := r.Estimate(context.Background(), "fig2", q, streaming); !again.Cached || again.Estimate != want {
+			t.Fatalf("streaming=%v: repeat after the rerun = %+v, want a cached %v", streaming, again, want)
+		}
+		if after.Entries != 1 {
+			t.Fatalf("streaming=%v: one query holds %d cache entries", streaming, after.Entries)
+		}
+	}
+}
+
+// TestRegistryBatchRepeatsProbeOnce: repeats of a query within one batch
+// share one cache probe and one computation; once the query is cached, each
+// repeat counts as the hit its own probe would have been, in all three
+// counters (estimate hit, plan hit, cost saved).
+func TestRegistryBatchRepeatsProbeOnce(t *testing.T) {
+	_, syn := buildFixtureSynopsis(t, nil)
+	r := NewRegistry(0, 0)
+	if _, err := r.Add("fig2", syn, "test"); err != nil {
+		t.Fatal(err)
+	}
+	batch := []string{"/a/c/s", "/a/c/s", "/a/c[t]/s", "/a/c/s"}
+	cold, err := r.EstimateBatch(context.Background(), "fig2", batch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.cache.Stats(); st.Misses != 2 || st.PlanMisses != 2 || st.Hits != 0 || st.Entries != 2 {
+		t.Fatalf("cold batch cache stats = %+v, want 2 misses, 2 plan misses, 2 entries", st)
+	}
+	for _, i := range []int{1, 3} {
+		if cold[i] != cold[0] {
+			t.Fatalf("repeat %d = %+v, want %+v", i, cold[i], cold[0])
+		}
+	}
+	warm, err := r.EstimateBatch(context.Background(), "fig2", batch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range warm {
+		if !it.Cached || it.Estimate != cold[i].Estimate || it.Query != cold[i].Query {
+			t.Fatalf("warm item %d = %+v, want a cached %+v", i, it, cold[i])
+		}
+	}
+	e, err := r.Get("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	costOf := func(q string) int64 {
+		k := cacheKey{id: e.id, query: q}
+		return r.cache.shards[r.cache.shardFor(k)].items[k].Value.(*cacheEntry).val.CostNs
+	}
+	want := 3*costOf("/a/c/s") + costOf("/a/c[t]/s")
+	if st := r.cache.Stats(); st.Hits != 4 || st.PlanHits != 4 || st.CostSavedNs != want {
+		t.Fatalf("warm batch cache stats = %+v, want 4 hits, 4 plan hits, costSavedNs %d", st, want)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -356,6 +358,47 @@ func TestHTTPSnapshotRoundtrip(t *testing.T) {
 	badResp.Body.Close()
 	if badResp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage snapshot: status %d", badResp.StatusCode)
+	}
+}
+
+// TestHTTPSnapshotHugeCountRejected: a 23-byte snapshot whose HET header
+// claims 2^28 entries is a bad request that allocates for what it holds,
+// not for what it claims, and the daemon keeps serving. The allocation is
+// the process-wide TotalAlloc across one upload, so the least of three
+// uploads is judged: a goroutine another test left running can allocate
+// during one of them, while a decoder that trusts the count allocates in
+// every one.
+func TestHTTPSnapshotHugeCountRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	createFixture(t, ts, "fig2")
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		req, err := http.NewRequest("PUT", ts.URL+"/v1/synopses/huge/snapshot", bytes.NewReader(fixtures.SnapshotHugeHETCount))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if err != nil || resp.StatusCode != http.StatusBadRequest || body.Err == nil || body.Err.Code != api.CodeBadRequest {
+			t.Fatalf("PUT of a %d-byte hostile snapshot: status %d, body %+v, err %v", len(fixtures.SnapshotHugeHETCount), resp.StatusCode, body.Err, err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 1<<20 {
+		t.Fatalf("a %d-byte snapshot upload allocated %d bytes", len(fixtures.SnapshotHugeHETCount), least)
+	}
+	var out api.EstimateResponse
+	if resp := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate",
+		api.EstimateRequest{Queries: []string{"/a/c/s"}}, &out); resp.StatusCode != http.StatusOK || out.Results[0].Estimate != 5 {
+		t.Fatalf("estimate after the rejected upload: status %d, %+v", resp.StatusCode, out.Results)
 	}
 }
 

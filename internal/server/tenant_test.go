@@ -283,8 +283,7 @@ func TestTenantIsolationHammer(t *testing.T) {
 
 // TestCacheTenantQuotaBounds pins quota mechanics at the cache layer: an
 // over-quota tenant evicts its own LRU entry (fleet occupancy permitting),
-// other tenants' entries are untouched, and plan entries count against the
-// same quota.
+// and other tenants' entries are untouched.
 func TestCacheTenantQuotaBounds(t *testing.T) {
 	ts, err := NewTenantSet(nil, []TenantConfig{
 		{ID: "capped", Token: "a", CacheQuota: numShards}, // one entry per shard
@@ -295,10 +294,11 @@ func TestCacheTenantQuotaBounds(t *testing.T) {
 	}
 	capped, free := ts.lookup("capped"), ts.lookup("free")
 	c := NewCache(numShards * 64)
+	_, sn := fixtureSnapshot(t)
 
 	for i := 0; i < numShards*8; i++ {
-		c.Put("syn", fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, capped)
-		c.Put("syn", fmt.Sprintf("/free%d", i), EstimateResult{Est: float64(i)}, free)
+		putAt(c, sn, 1, fmt.Sprintf("/q%d", i), EstimateResult{Est: float64(i)}, capped)
+		putAt(c, sn, 1, fmt.Sprintf("/free%d", i), EstimateResult{Est: float64(i)}, free)
 	}
 	if got := c.TenantEntries(capped); got > numShards {
 		t.Errorf("capped tenant occupies %d entries, quota %d", got, numShards)
@@ -308,7 +308,7 @@ func TestCacheTenantQuotaBounds(t *testing.T) {
 	}
 	// The capped tenant still caches: its newest entry is resident.
 	last := fmt.Sprintf("/q%d", numShards*8-1)
-	if _, ok := c.Get("syn", last, capped); !ok {
+	if _, ok := getAt(c, sn, 1, last, capped); !ok {
 		t.Errorf("capped tenant's most recent entry was not cached")
 	}
 }
@@ -360,9 +360,9 @@ func TestTenantStatsRollups(t *testing.T) {
 	if len(scoped.Synopses) != 1 || scoped.Synopses[0].Name != "doc" {
 		t.Errorf("scoped synopses = %+v, want bare-named doc", scoped.Synopses)
 	}
-	// Entries is 2: the cached estimate plus its compiled plan, both owned
-	// by (and counted against) the tenant.
-	if scoped.Cache.Hits != 1 || scoped.Cache.Misses != 1 || scoped.Cache.Entries != 2 {
-		t.Errorf("scoped cache stats = %+v, want the tenant's own hits=1 misses=1 entries=2", scoped.Cache)
+	// Entries is 1: the query's one entry (plan and estimate), owned by
+	// (and counted against) the tenant.
+	if scoped.Cache.Hits != 1 || scoped.Cache.Misses != 1 || scoped.Cache.Entries != 1 {
+		t.Errorf("scoped cache stats = %+v, want the tenant's own hits=1 misses=1 entries=1", scoped.Cache)
 	}
 }

@@ -1,0 +1,41 @@
+package xpath
+
+import (
+	"reflect"
+	"testing"
+)
+
+// FuzzParseRoundTrip: any input that parses renders to text that parses
+// back to the same tree, renders the same and classifies the same. Compiled
+// query plans keep only that text and rebuild their parse tree from it.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"/a", "//a", "/a/*", "//*", "/*/*//*", "/a/b//c",
+		"/a[b]", "/a[b][c]/d", "/a[b[c[d]]]/e", "/a/*[b/c][.//d]/e",
+		"/a[//b]", "/a/c[.//p]", "/a[.//b[c]//d]//e[f][*]",
+		"//site/regions//item[shipping][incategory]/location",
+		"/a[./b]", "/a[.]", "/a[././/b]", "/café[ü]", "/a:b/@c",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := Parse(in)
+		if err != nil {
+			return
+		}
+		s := p.String()
+		q, err := Parse(s)
+		if err != nil {
+			t.Fatalf("%q renders %q, which does not parse: %v", in, s, err)
+		}
+		if s2 := q.String(); s2 != s {
+			t.Fatalf("%q renders %q, which renders %q", in, s, s2)
+		}
+		if q.Classify() != p.Classify() {
+			t.Fatalf("%q is %v, its rendering %q is %v", in, p.Classify(), s, q.Classify())
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("%q and its rendering %q parse to different trees", in, s)
+		}
+	})
+}

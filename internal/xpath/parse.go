@@ -87,8 +87,11 @@ func (p *parser) axis() (Axis, bool) {
 	return Child, true
 }
 
+// isNameByte reports whether b may appear in a node test name. Every byte
+// from 0x80 up may, as in encoding/xml's element names, so that every label
+// a synopsis interns from a document renders to text that parses back.
 func isNameByte(b byte) bool {
-	return b == '_' || b == '-' || b == '.' || b == ':' || b == '@' ||
+	return b == '_' || b == '-' || b == '.' || b == ':' || b == '@' || b >= 0x80 ||
 		'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z' || '0' <= b && b <= '9'
 }
 

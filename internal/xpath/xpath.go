@@ -205,9 +205,13 @@ func (p *Path) write(sb *strings.Builder, relative bool) {
 		s := &p.Steps[i]
 		if i == 0 && relative {
 			// Inside a predicate, a leading child axis is implicit and a
-			// leading descendant axis is written ".//".
+			// leading descendant axis is written ".//". A leading child
+			// step named "." is written "./." so that it cannot merge with
+			// the next step into one of those prefixes.
 			if s.Axis == Descendant {
 				sb.WriteString(".//")
+			} else if !s.Wildcard && s.Label == "." {
+				sb.WriteString("./")
 			}
 		} else {
 			sb.WriteString(s.Axis.String())

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"xseed/internal/estimate"
+	"xseed/internal/xpath"
 )
 
 // Snapshot is an immutable, versioned estimation view of a Synopsis: the
@@ -75,26 +76,24 @@ func (sn *Snapshot) EPTStats() (nodes int, truncated bool) {
 // subtree update interns a new label (it then transparently recompiles on
 // first use).
 func (sn *Snapshot) Compile(q *Query) *Plan {
-	p := &Plan{q: q, norm: q.String()}
+	p := &Plan{norm: q.String()}
 	p.ep.Store(estimate.Compile(q.p, sn.es.Dict()))
 	return p
 }
 
-// Plan is a compiled query: the parsed form, its normalized rendering, and
-// the label-resolved execution plan. Plans are safe for concurrent Run
-// calls and are what the serving layer caches so repeat queries skip
-// parse + compile entirely.
+// Plan is a compiled query: its normalized text and the label-resolved
+// execution plan, and nothing else, because a Plan is what the serving
+// layer caches per query so repeat queries skip parse + compile. What needs
+// the parse tree — recompiling after the dictionary grew, and RunStreaming
+// when the caller no longer holds the query — re-parses the normalized
+// text, which always parses back to the tree it was rendered from. Plans
+// are safe for concurrent Run calls.
 type Plan struct {
-	q    *Query
 	norm string
 	ep   atomic.Pointer[estimate.Plan]
 }
 
-// Query returns the parsed query the plan was compiled from.
-func (p *Plan) Query() *Query { return p.q }
-
-// String returns the normalized (parsed and re-rendered) query text — the
-// estimate-cache key form.
+// String returns the normalized (parsed and re-rendered) query text.
 func (p *Plan) String() string { return p.norm }
 
 // CompatibleWith reports whether the compiled label resolution is current
@@ -102,19 +101,16 @@ func (p *Plan) String() string { return p.norm }
 // recompile itself — this exists for cache layers that want to refresh
 // their stored plan.
 func (p *Plan) CompatibleWith(sn *Snapshot) bool {
-	if ep := p.ep.Load(); ep != nil {
-		return ep.CompatibleWith(sn.es)
-	}
-	return false
+	return p.ep.Load().CompatibleWith(sn.es)
 }
 
 // plan returns a compiled form current for sn, recompiling (and caching the
 // result) when the snapshot's dictionary outgrew the stored one.
 func (p *Plan) plan(sn *Snapshot) *estimate.Plan {
-	if ep := p.ep.Load(); ep != nil && ep.CompatibleWith(sn.es) {
+	if ep := p.ep.Load(); ep.CompatibleWith(sn.es) {
 		return ep
 	}
-	ep := estimate.Compile(p.q.p, sn.es.Dict())
+	ep := estimate.Compile(xpath.MustParse(p.norm), sn.es.Dict())
 	p.ep.Store(ep)
 	return ep
 }
@@ -124,11 +120,14 @@ func (p *Plan) Run(sn *Snapshot) float64 {
 	return p.plan(sn).Run(sn.es)
 }
 
-// RunStreaming estimates with the streaming matcher where possible (the
-// plan's parsed query avoids a re-parse), falling back to the compiled
-// standard plan.
-func (p *Plan) RunStreaming(sn *Snapshot) (est float64, streamed bool) {
-	if v, ok := sn.es.StreamEstimate(p.q.p); ok {
+// RunStreaming estimates with the streaming matcher where possible, else
+// with the compiled plan. The matcher walks the parse tree: q is the query p
+// was compiled from, or nil to re-parse p's normalized text.
+func (p *Plan) RunStreaming(sn *Snapshot, q *Query) (est float64, streamed bool) {
+	if q == nil {
+		q = &Query{p: xpath.MustParse(p.norm)}
+	}
+	if v, ok := sn.es.StreamEstimate(q.p); ok {
 		return v, true
 	}
 	return p.Run(sn), false

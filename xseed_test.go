@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -269,6 +270,21 @@ func TestSnapshotWriteToVersioned(t *testing.T) {
 	want := []byte{'X', 'S', 'N', 'P', SnapshotVersion}
 	if !bytes.Equal(head, want) {
 		t.Fatalf("stream header = %v, want %v", head, want)
+	}
+}
+
+// TestReadSynopsisHugeHETCount: a snapshot whose HET header claims 2^28
+// entries and then ends is an error that allocates for what was read.
+func TestReadSynopsisHugeHETCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSynopsis(bytes.NewReader(fixtures.SnapshotHugeHETCount))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated snapshot decoded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %d bytes", len(fixtures.SnapshotHugeHETCount), n)
 	}
 }
 

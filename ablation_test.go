@@ -95,14 +95,13 @@ func BenchmarkAblationFalsePositiveEntries(b *testing.B) {
 			tab, _ := het.Precompute(d.doc, d.pt, d.kern, het.PrecomputeOptions{
 				MBP:                    1,
 				NoFalsePositiveEntries: ablate,
-				EstimateOptions:        estimate.Options{ReuseEPT: true},
 			})
-			est := estimate.New(d.kern, estimate.Options{HET: tab, ReuseEPT: true})
+			sn := estimate.NewSnapshot(d.kern, d.kern.Dict(), estimate.Options{HET: tab})
 			var rmse float64
 			for i := 0; i < b.N; i++ {
 				var acc metrics.Accumulator
 				for _, q := range qs {
-					acc.Add(est.Estimate(q.Path), float64(q.Actual))
+					acc.Add(sn.Estimate(q.Path), float64(q.Actual))
 				}
 				rmse = acc.RMSE()
 			}
@@ -130,13 +129,13 @@ func BenchmarkAblationCardThreshold(b *testing.B) {
 	} {
 		threshold := tc.threshold
 		b.Run(tc.name, func(b *testing.B) {
-			// ReuseEPT: the sweep compares accuracy and EPT size; without
-			// it the t0 setting rebuilds a million-node EPT per query. The
-			// node cap keeps t0 finite — its truncation (ept-nodes pinned
-			// at the cap) is precisely why the threshold exists.
-			est := estimate.New(d.kern, estimate.Options{
+			// One snapshot per setting: the sweep compares accuracy and EPT
+			// size, and a per-query EPT would rebuild a million-node tree
+			// per t0 query. The node cap keeps t0 finite — its truncation
+			// (ept-nodes pinned at the cap) is precisely why the threshold
+			// exists.
+			sn := estimate.NewSnapshot(d.kern, d.kern.Dict(), estimate.Options{
 				CardThreshold: threshold,
-				ReuseEPT:      true,
 				MaxEPTNodes:   1 << 16,
 			})
 			var rmse float64
@@ -144,10 +143,10 @@ func BenchmarkAblationCardThreshold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var acc metrics.Accumulator
 				for _, q := range qs {
-					acc.Add(est.Estimate(q.Path), float64(q.Actual))
+					acc.Add(sn.Estimate(q.Path), float64(q.Actual))
 				}
 				rmse = acc.RMSE()
-				nodes = est.LastEPTStats().Nodes
+				nodes = sn.Stats().Nodes
 			}
 			b.ReportMetric(rmse, "rmse")
 			b.ReportMetric(float64(nodes), "ept-nodes")

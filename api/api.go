@@ -37,7 +37,10 @@ type SynopsisConfig struct {
 	BselThreshold float64 `json:"bselThreshold,omitempty"`
 	BudgetBytes   int     `json:"budgetBytes,omitempty"`
 	CardThreshold float64 `json:"cardThreshold,omitempty"`
-	ReuseEPT      bool    `json:"reuseEPT,omitempty"`
+	// ReuseEPT is accepted and ignored: every synopsis version builds its
+	// expanded path tree once and reuses it. The field stays so that
+	// requests from clients that still send it decode.
+	ReuseEPT bool `json:"reuseEPT,omitempty"`
 }
 
 // CreateRequest builds a synopsis from exactly one source: inline XML, an

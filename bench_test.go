@@ -14,6 +14,7 @@ import (
 	"xseed/internal/het"
 	"xseed/internal/kernel"
 	"xseed/internal/nok"
+	"xseed/internal/treesketch"
 	"xseed/internal/xmldoc"
 	"xseed/internal/xpath"
 )
@@ -134,10 +135,7 @@ func BenchmarkHETPrecompute1BP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, _ := het.Precompute(d.doc, pt, d.kern, het.PrecomputeOptions{
-			MBP:             1,
-			EstimateOptions: estimate.Options{ReuseEPT: true},
-		})
+		tab, _ := het.Precompute(d.doc, pt, d.kern, het.PrecomputeOptions{MBP: 1})
 		if tab.NumEntries() == 0 {
 			b.Fatal("empty table")
 		}
@@ -150,7 +148,7 @@ func BenchmarkTreeSketchBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := BuildTreeSketch(d, 25*1024); err != nil {
+		if _, _, err := treesketch.Build(d.doc, treesketch.Options{BudgetBytes: 25 * 1024}); err != nil {
 			b.Fatal(err)
 		}
 	}

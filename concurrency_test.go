@@ -18,45 +18,43 @@ func TestConcurrentEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, reuse := range []bool{false, true} {
-		syn, err := BuildSynopsis(d, &Config{ReuseEPT: reuse})
-		if err != nil {
+	syn, err := BuildSynopsis(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"/a/c/s", "/a/c/s/s/t", "//s//p", "/a/c/s[p]/t", "//s[t]", "/a/*/s"}
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		if want[i], err = syn.Estimate(q); err != nil {
 			t.Fatal(err)
 		}
-		queries := []string{"/a/c/s", "/a/c/s/s/t", "//s//p", "/a/c/s[p]/t", "//s[t]", "/a/*/s"}
-		want := make([]float64, len(queries))
-		for i, q := range queries {
-			if want[i], err = syn.Estimate(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					idx := (g + i) % len(queries)
-					got, err := syn.Estimate(queries[idx])
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if got != want[idx] {
-						t.Errorf("reuse=%v %s: concurrent estimate %v, want %v", reuse, queries[idx], got, want[idx])
-						return
-					}
-					if sg, _ := syn.EstimateStreamingQuery(MustParseQuery(queries[idx])); sg < 0 {
-						t.Errorf("streaming estimate negative: %v", sg)
-						return
-					}
-					syn.EPTStats()
-					syn.SizeBytes()
-				}
-			}(g)
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				idx := (g + i) % len(queries)
+				got, err := syn.Estimate(queries[idx])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[idx] {
+					t.Errorf("%s: concurrent estimate %v, want %v", queries[idx], got, want[idx])
+					return
+				}
+				if sg, _ := syn.EstimateStreamingQuery(MustParseQuery(queries[idx])); sg < 0 {
+					t.Errorf("streaming estimate negative: %v", sg)
+					return
+				}
+				syn.EPTStats()
+				syn.SizeBytes()
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSnapshotConsistencyHammer proves the lock-free snapshot semantics

@@ -43,13 +43,6 @@ type Options struct {
 	// HET, when non-nil, supplies actual cardinalities for simple paths and
 	// correlated backward selectivities for branching patterns (Section 5).
 	HET HET
-
-	// ReuseEPT caches the expanded path tree across Estimate calls. The
-	// paper's traveler regenerates it per query ("dynamically generated and
-	// does not need to be stored"), which is what the timing experiments
-	// measure, so the default is off; long-lived optimizers should enable
-	// it and call Invalidate on synopsis updates.
-	ReuseEPT bool
 }
 
 func (o Options) maxNodes() int {

@@ -77,6 +77,19 @@ func findEPT(dict *xmldoc.Dict, root *EPTNode, names ...string) *EPTNode {
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// snap returns a fresh estimation snapshot of k: every estimate through it
+// regenerates the EPT, as the paper's per-query traveler does.
+func snap(k *kernel.Kernel, opt Options) *Snapshot { return NewSnapshot(k, k.Dict(), opt) }
+
+// estimateString parses q and estimates it against a fresh snapshot of k.
+func estimateString(k *kernel.Kernel, opt Options, q string) (float64, error) {
+	p, err := xpath.Parse(q)
+	if err != nil {
+		return 0, err
+	}
+	return snap(k, opt).Estimate(p), nil
+}
+
 // TestExample3Trace reproduces the estimation trace of the paper's
 // Example 3 for /a/c/s/s/t: per-vertex cardinality, fsel, and bsel.
 func TestExample3Trace(t *testing.T) {
@@ -102,8 +115,7 @@ func TestExample3Trace(t *testing.T) {
 				w.path, n.Card, n.Fsel, n.Bsel, w.card, w.fsel, w.bsel)
 		}
 	}
-	est := New(k, Options{})
-	if got, _ := est.EstimateString("/a/c/s/s/t"); !approx(got, 1, 1e-12) {
+	if got, _ := estimateString(k, Options{}, "/a/c/s/s/t"); !approx(got, 1, 1e-12) {
 		t.Errorf("|/a/c/s/s/t| = %g, want 1", got)
 	}
 }
@@ -144,10 +156,9 @@ func TestSection4EPTDump(t *testing.T) {
 // the kernel reproduces all path tree cardinalities.
 func TestSimplePathsExactOnFigure2(t *testing.T) {
 	_, k, pt, _ := fig2(t)
-	est := New(k, Options{})
 	pt.Walk(func(n *pathtree.Node) {
 		q := xpath.MustParse(n.PathString(pt.Dict()))
-		got := est.Estimate(q)
+		got := snap(k, Options{}).Estimate(q)
 		if !approx(got, float64(n.Card), 1e-9) {
 			t.Errorf("|%s| = %g, want %d", n.PathString(pt.Dict()), got, n.Card)
 		}
@@ -158,8 +169,7 @@ func TestSimplePathsExactOnFigure2(t *testing.T) {
 // ancestor-independence approximation.
 func TestExample4(t *testing.T) {
 	_, k, _ := fig4(t)
-	est := New(k, Options{})
-	got, err := est.EstimateString("/a/b/d/e")
+	got, err := estimateString(k, Options{}, "/a/b/d/e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +178,7 @@ func TestExample4(t *testing.T) {
 		t.Errorf("|/a/b/d/e| = %g, want %g", got, want)
 	}
 	// The symmetric path through c gets the complementary share.
-	got, _ = est.EstimateString("/a/c/d/e")
+	got, _ = estimateString(k, Options{}, "/a/c/d/e")
 	if want := 20.0 * 9.0 / 14.0; !approx(got, want, 1e-9) {
 		t.Errorf("|/a/c/d/e| = %g, want %g", got, want)
 	}
@@ -178,8 +188,7 @@ func TestExample4(t *testing.T) {
 // sibling-independence approximation (absel).
 func TestExample5(t *testing.T) {
 	_, k, _ := fig4(t)
-	est := New(k, Options{})
-	got, err := est.EstimateString("/a/b/d[f]/e")
+	got, err := estimateString(k, Options{}, "/a/b/d[f]/e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +200,9 @@ func TestExample5(t *testing.T) {
 
 func TestBranchingOnFigure2(t *testing.T) {
 	_, k, _, ev := fig2(t)
-	est := New(k, Options{})
 	// /a/c/s[t]/p: |/a/c/s/p| × bsel(s→t at level 0) = 9 × 0.4 = 3.6
 	// (actual 4).
-	got, _ := est.EstimateString("/a/c/s[t]/p")
+	got, _ := estimateString(k, Options{}, "/a/c/s[t]/p")
 	if !approx(got, 3.6, 1e-9) {
 		t.Errorf("|/a/c/s[t]/p| = %g, want 3.6", got)
 	}
@@ -203,7 +211,7 @@ func TestBranchingOnFigure2(t *testing.T) {
 		t.Fatalf("actual = %d, want 4", actual)
 	}
 	// Predicate on the result step: /a/c/s[s] = 5 × 0.4 = 2 (exact).
-	got, _ = est.EstimateString("/a/c/s[s]")
+	got, _ = estimateString(k, Options{}, "/a/c/s[s]")
 	if !approx(got, 2, 1e-9) {
 		t.Errorf("|/a/c/s[s]| = %g, want 2", got)
 	}
@@ -211,7 +219,6 @@ func TestBranchingOnFigure2(t *testing.T) {
 
 func TestComplexPathsOnFigure2(t *testing.T) {
 	_, k, _, ev := fig2(t)
-	est := New(k, Options{})
 	cases := []struct {
 		q    string
 		want float64 // exact expectations where the kernel preserves them
@@ -227,7 +234,7 @@ func TestComplexPathsOnFigure2(t *testing.T) {
 		{"/*", 1},
 	}
 	for _, tc := range cases {
-		got, err := est.EstimateString(tc.q)
+		got, err := estimateString(k, Options{}, tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,16 +250,15 @@ func TestComplexPathsOnFigure2(t *testing.T) {
 
 func TestNestedPredicates(t *testing.T) {
 	_, k, _, _ := fig2(t)
-	est := New(k, Options{})
 	// /a/c[s/s]/t: |/a/c/t| × (bsel(c→s) × bsel(s→s under c/s)) = 2 × (1 ×
 	// 0.4) = 0.8 (actual 2; sibling/descendant correlation is lost — this
 	// is precisely the error class the HET exists to patch).
-	got, _ := est.EstimateString("/a/c[s/s]/t")
+	got, _ := estimateString(k, Options{}, "/a/c[s/s]/t")
 	if !approx(got, 0.8, 1e-9) {
 		t.Errorf("|/a/c[s/s]/t| = %g, want 0.8", got)
 	}
 	// Descendant predicate: /a/c/s[.//t]/p.
-	got, _ = est.EstimateString("/a/c/s[.//t]/p")
+	got, _ = estimateString(k, Options{}, "/a/c/s[.//t]/p")
 	// weight = bsel(t)+bsel(s)*(bsel(t at s/s)+bsel(s at s/s)*bsel(t at s/s/s... )):
 	// = 0.4 + 0.4*(0.5 + 0.5*0) = 0.6; note s/s/s has no t child in the
 	// kernel. 9 × 0.6 = 5.4 (actual 6).
@@ -263,13 +269,12 @@ func TestNestedPredicates(t *testing.T) {
 
 func TestUnknownLabelsEstimateZero(t *testing.T) {
 	_, k, _, _ := fig2(t)
-	est := New(k, Options{})
 	for _, q := range []string{"/zzz", "//zzz", "/a/zzz", "/a/c[zzz]/s", "/a[zzz]"} {
-		if got, _ := est.EstimateString(q); got != 0 {
+		if got, _ := estimateString(k, Options{}, q); got != 0 {
 			t.Errorf("|%s| = %g, want 0", q, got)
 		}
 	}
-	if _, err := est.EstimateString("///"); err == nil {
+	if _, err := estimateString(k, Options{}, "///"); err == nil {
 		t.Error("parse error not propagated")
 	}
 }
@@ -347,8 +352,7 @@ func TestTerminationOnCyclicKernel(t *testing.T) {
 	if st.Truncated {
 		t.Error("cyclic kernel truncated; should terminate via recursion levels")
 	}
-	est := New(k, Options{})
-	if got, _ := est.EstimateString("//a//a"); got <= 0 {
+	if got, _ := estimateString(k, Options{}, "//a//a"); got <= 0 {
 		t.Errorf("|//a//a| = %g, want > 0", got)
 	}
 }
@@ -380,13 +384,13 @@ func TestHETPathOverride(t *testing.T) {
 	het := &fakeHET{paths: map[uint32][3]float64{}, patterns: map[uint32]float64{}}
 	import1 := func(path ...string) uint32 { return pathHash(path...) }
 	het.paths[import1("a", "b", "d", "e")] = [3]float64{18, 0, 0}
-	est := New(k, Options{HET: het})
-	got, _ := est.EstimateString("/a/b/d/e")
+	opt := Options{HET: het}
+	got, _ := estimateString(k, opt, "/a/b/d/e")
 	if !approx(got, 18, 1e-9) {
 		t.Errorf("with HET |/a/b/d/e| = %g, want 18", got)
 	}
 	// Other paths keep kernel estimates.
-	got, _ = est.EstimateString("/a/c/d/e")
+	got, _ = estimateString(k, opt, "/a/c/d/e")
 	if !approx(got, 20.0*9/14, 1e-9) {
 		t.Errorf("|/a/c/d/e| = %g, want %g", got, 20.0*9/14)
 	}
@@ -400,32 +404,11 @@ func TestHETPatternOverride(t *testing.T) {
 	}
 	het := &fakeHET{paths: map[uint32][3]float64{}, patterns: map[uint32]float64{}}
 	het.patterns[patternHash("d", []string{"f"}, "e")] = 0.4
-	est := New(k, Options{HET: het})
-	got, _ := est.EstimateString("/a/b/d[f]/e")
+	opt := Options{HET: het}
+	got, _ := estimateString(k, opt, "/a/b/d[f]/e")
 	want := 20.0 * (5.0 / 14.0) * 0.4 // card(/a/b/d/e) × corr-bsel
 	if !approx(got, want, 1e-9) {
 		t.Errorf("with pattern HET = %g, want %g", got, want)
-	}
-}
-
-func TestReuseEPTCache(t *testing.T) {
-	_, k, _, _ := fig2(t)
-	plain := New(k, Options{})
-	cached := New(k, Options{ReuseEPT: true})
-	queries := []string{"/a/c/s/p", "//s//p", "/a/c/s[t]/p", "//*"}
-	for _, q := range queries {
-		a, _ := plain.EstimateString(q)
-		b, _ := cached.EstimateString(q)
-		if a != b {
-			t.Errorf("%s: cached %g != plain %g", q, b, a)
-		}
-	}
-	if cached.LastEPTStats().Nodes != 14 {
-		t.Errorf("cached stats = %+v", cached.LastEPTStats())
-	}
-	cached.Invalidate()
-	if got, _ := cached.EstimateString("//*"); !approx(got, 36, 1e-9) {
-		t.Errorf("after invalidate: %g", got)
 	}
 }
 
@@ -445,12 +428,11 @@ func TestDepth1ExactOnRandomDocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est := New(k, Options{})
 		ev := nok.New(doc)
 		rootName := doc.LabelName(0)
 		for _, l := range labels {
 			q := "/" + rootName + "/" + l
-			got, _ := est.EstimateString(q)
+			got, _ := estimateString(k, Options{}, q)
 			actual, _ := ev.CountString(q)
 			if !approx(got, float64(actual), 1e-9) {
 				t.Fatalf("trial %d: |%s| = %g, actual %d\ndoc: %s", trial, q, got, actual, xml)
@@ -480,7 +462,8 @@ func randomXML(rng *rand.Rand, labels []string, maxDepth, maxFanout int) string 
 
 func TestTravelerEventStream(t *testing.T) {
 	_, k, _, _ := fig2(t)
-	tr := NewTraveler(k, Options{})
+	root, _ := BuildEPT(k, Options{})
+	tr := NewTraveler(root)
 	opens, closes := 0, 0
 	var deweys []string
 	for {

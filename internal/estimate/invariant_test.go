@@ -53,18 +53,17 @@ func TestDescendantLabelCountExactNonRecursive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est := New(k, Options{})
 		ev := nok.New(doc)
 		for _, l := range depthLabels {
 			q := xpath.MustParse("//" + l)
-			got := est.Estimate(q)
+			got := snap(k, Options{}).Estimate(q)
 			want := float64(ev.Count(q))
 			if !approx(got, want, 1e-6*(1+want)) {
 				t.Fatalf("trial %d: |//%s| = %g, want %g\ndoc: %s", trial, l, got, want, xml)
 			}
 		}
 		// The wildcard total is exact too: |//*| = node count.
-		got := est.Estimate(xpath.MustParse("//*"))
+		got := snap(k, Options{}).Estimate(xpath.MustParse("//*"))
 		if want := float64(doc.NumNodes()); !approx(got, want, 1e-6*(1+want)) {
 			t.Fatalf("trial %d: |//*| = %g, want %g", trial, got, want)
 		}
@@ -86,8 +85,7 @@ func TestLevelAliasingCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := New(k, Options{})
-	got := est.Estimate(xpath.MustParse("//c"))
+	got := snap(k, Options{}).Estimate(xpath.MustParse("//c"))
 	if approx(got, 2, 1e-9) {
 		t.Fatalf("|//c| = %g; expected the documented 1.5 misestimate — "+
 			"if the kernel got smarter, update the invariant docs", got)
@@ -131,11 +129,10 @@ func TestObservation3Property(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est := New(k, Options{})
 		ev := nok.New(doc)
 		for _, qs := range []string{"//u//v", "//u//u", "//u/v"} {
 			q := xpath.MustParse(qs)
-			got := est.Estimate(q)
+			got := snap(k, Options{}).Estimate(q)
 			want := float64(ev.Count(q))
 			if !approx(got, want, 1e-6*(1+want)) {
 				t.Fatalf("trial %d: |%s| = %g, want %g\ndoc: %s", trial, qs, got, want, xml)
@@ -157,7 +154,6 @@ func TestEstimateNonNegativeAndFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est := New(k, Options{})
 		// Random query.
 		qs := ""
 		for i := 0; i < 1+rng.Intn(4); i++ {
@@ -170,7 +166,7 @@ func TestEstimateNonNegativeAndFinite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated bad query %q: %v", qs, err)
 		}
-		got := est.Estimate(q)
+		got := snap(k, Options{}).Estimate(q)
 		if got < 0 || got != got /* NaN */ {
 			t.Fatalf("trial %d: |%s| = %v\ndoc: %s", trial, qs, got, xml)
 		}
@@ -187,7 +183,7 @@ func TestEstimateNonNegativeAndFinite(t *testing.T) {
 			}
 		}
 		if !hasPred || !hasDesc {
-			if sv, ok := StreamEstimate(k, q, Options{}); ok {
+			if sv, ok := snap(k, Options{}).StreamEstimate(q); ok {
 				if !approx(sv, got, 1e-6*(1+got)) {
 					t.Fatalf("trial %d: stream %v != %v for %s\ndoc: %s", trial, sv, got, qs, xml)
 				}

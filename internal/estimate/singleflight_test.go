@@ -5,72 +5,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"xseed/internal/xpath"
 )
 
-// TestEstimatorColdCacheSingleflight regression-tests the redundant
-// concurrent first build the old estimator allowed: two goroutines racing a
-// cold ReuseEPT cache both ran BuildEPT. The build hook blocks the first
-// builder until every racer is known to be in Estimate, so without the
-// singleflight this test would count several builds (and, before the
-// atomic-pointer rewrite, deadlock or race).
-func TestEstimatorColdCacheSingleflight(t *testing.T) {
-	_, k, _, _ := fig2(t)
-	e := New(k, Options{ReuseEPT: true})
-
-	const readers = 8
-	var builds atomic.Int32
-	arrived := make(chan struct{}, 1)
-	release := make(chan struct{})
-	e.buildHook = func() {
-		builds.Add(1)
-		select {
-		case arrived <- struct{}{}:
-		default:
-		}
-		<-release
-	}
-
-	q, err := xpath.Parse("/a/c/s/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := New(k, Options{}).Estimate(q)
-
-	results := make([]float64, readers)
-	var wg sync.WaitGroup
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = e.Estimate(q)
-		}(i)
-	}
-	<-arrived // one goroutine is inside the build critical section
-	// Give the others time to pile up behind the singleflight before the
-	// build completes; any of them running BuildEPT would bump the counter.
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("cold cache ran %d EPT builds, want exactly 1", got)
-	}
-	for i, got := range results {
-		if got != want {
-			t.Errorf("reader %d: estimate %g, want %g", i, got, want)
-		}
-	}
-	if e.LastEPTStats().Nodes == 0 {
-		t.Error("LastEPTStats not recorded")
-	}
-}
-
-// TestSnapshotEPTSingleflight is the same property on the estimation
-// snapshot itself (the object the lock-free Synopsis read path pins): many
-// goroutines triggering the lazy EPT build get one construction and the
-// same root.
+// TestSnapshotEPTSingleflight: many goroutines triggering a snapshot's lazy
+// EPT build get one construction and the same root. The build hook blocks
+// the first builder until the others are queued behind it, so a redundant
+// concurrent build would be counted (and, without the singleflight, raced).
 func TestSnapshotEPTSingleflight(t *testing.T) {
 	_, k, _, _ := fig2(t)
 	sn := NewSnapshot(k, k.Dict(), Options{})

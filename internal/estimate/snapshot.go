@@ -7,6 +7,7 @@ import (
 	"xseed/internal/kernel"
 	"xseed/internal/pathhash"
 	"xseed/internal/xmldoc"
+	"xseed/internal/xpath"
 )
 
 // eptState is the immutable product of one EPT construction.
@@ -94,6 +95,12 @@ func (sn *Snapshot) EPT() (*EPTNode, EPTStats) {
 	st := &eptState{root: root, stats: stats}
 	sn.ept.Store(st)
 	return st.root, st.stats
+}
+
+// Estimate compiles q against the snapshot's dictionary and runs it. Callers
+// that repeat a query should keep the compiled Plan instead.
+func (sn *Snapshot) Estimate(q *xpath.Path) float64 {
+	return Compile(q, sn.dict).Run(sn)
 }
 
 // Stats returns the EPT size metrics (building the EPT if needed).

@@ -1,15 +1,14 @@
 package estimate
 
 import (
-	"xseed/internal/kernel"
 	"xseed/internal/pathhash"
 	"xseed/internal/xmldoc"
 	"xseed/internal/xpath"
 )
 
-// StreamEstimate evaluates a query over the traveler's event stream in a
-// single pass with memory proportional to the EPT depth (plus buffered
-// contributions) — the execution style of the paper's Algorithm 3:
+// StreamEstimate evaluates a query over the event stream of the snapshot's
+// EPT in a single pass with memory proportional to the EPT depth (plus
+// buffered contributions) — the execution style of the paper's Algorithm 3:
 // candidate matches buffer in per-frame queues and resolve when close
 // events reveal whether predicates matched.
 //
@@ -24,26 +23,13 @@ import (
 // streaming matcher keeps the maximum pre-resolution weight, which can pick
 // a different chain). Pred-free queries and child-axis-only queries agree
 // exactly; the cross-validation tests assert both.
-func StreamEstimate(k *kernel.Kernel, q *xpath.Path, opt Options) (est float64, ok bool) {
-	if !streamable(q) {
-		return 0, false
-	}
-	m := newStreamMatcher(k.Dict(), q, opt.HET)
-	return runStream(m, NewTraveler(k, opt))
-}
-
-// StreamEstimate is the snapshot form of the package-level StreamEstimate:
-// the same single-pass matcher fed from the snapshot's shared EPT (built
-// once per synopsis version) through its frozen dictionary and HET view, so
-// a streaming estimate is as lock-free as a plan run. Results equal the
-// kernel form's exactly — the traveler replays the identical event stream.
 func (sn *Snapshot) StreamEstimate(q *xpath.Path) (est float64, ok bool) {
 	if !streamable(q) {
 		return 0, false
 	}
 	m := newStreamMatcher(sn.dict, q, sn.opt.HET)
 	root, _ := sn.EPT()
-	return runStream(m, NewTravelerEPT(root))
+	return runStream(m, NewTraveler(root))
 }
 
 // runStream drains the traveler through the matcher.

@@ -29,7 +29,6 @@ func TestStreamableShapes(t *testing.T) {
 // on the paper's running example across the supported query shapes.
 func TestStreamMatchesMaterializedOnFigure2(t *testing.T) {
 	_, k, _, _ := fig2(t)
-	est := New(k, Options{})
 	queries := []string{
 		"/a", "/a/c", "/a/c/s", "/a/c/s/p", "/a/c/s/s/t",
 		"//s", "//p", "//s//p", "//s//s//p", "//s/p",
@@ -40,8 +39,8 @@ func TestStreamMatchesMaterializedOnFigure2(t *testing.T) {
 	}
 	for _, qs := range queries {
 		q := xpath.MustParse(qs)
-		want := est.Estimate(q)
-		got, ok := StreamEstimate(k, q, Options{})
+		want := snap(k, Options{}).Estimate(q)
+		got, ok := snap(k, Options{}).StreamEstimate(q)
 		if !ok {
 			t.Errorf("%s: not streamable", qs)
 			continue
@@ -69,13 +68,12 @@ func TestStreamMatchesMaterializedOnWorkloads(t *testing.T) {
 	}
 	k, _ := kb.Kernel()
 	_ = doc
-	est := New(k, Options{})
 
 	// All simple paths.
 	pb.Tree().Walk(func(n *pathtree.Node) {
 		q := xpath.MustParse(n.PathString(dict))
-		want := est.Estimate(q)
-		got, ok := StreamEstimate(k, q, Options{})
+		want := snap(k, Options{}).Estimate(q)
+		got, ok := snap(k, Options{}).StreamEstimate(q)
 		if !ok || !approx(got, want, 1e-6*(1+want)) {
 			t.Errorf("%s: stream %g materialized %g ok=%v", q, got, want, ok)
 		}
@@ -89,8 +87,8 @@ func TestStreamMatchesMaterializedOnWorkloads(t *testing.T) {
 		"/site/open_auctions/open_auction[privacy]/seller",
 	} {
 		q := xpath.MustParse(qs)
-		want := est.Estimate(q)
-		got, ok := StreamEstimate(k, q, Options{})
+		want := snap(k, Options{}).Estimate(q)
+		got, ok := snap(k, Options{}).StreamEstimate(q)
 		if !ok || !approx(got, want, 1e-9) {
 			t.Errorf("%s: stream %g materialized %g ok=%v", qs, got, want, ok)
 		}
@@ -102,8 +100,8 @@ func TestStreamMatchesMaterializedOnWorkloads(t *testing.T) {
 		"//parlist//parlist", "//open_auction/bidder/increase", "//*/listitem",
 	} {
 		q := xpath.MustParse(qs)
-		want := est.Estimate(q)
-		got, ok := StreamEstimate(k, q, Options{})
+		want := snap(k, Options{}).Estimate(q)
+		got, ok := snap(k, Options{}).StreamEstimate(q)
 		if !ok || !approx(got, want, 1e-6*(1+want)) {
 			t.Errorf("%s: stream %g materialized %g ok=%v", qs, got, want, ok)
 		}
@@ -116,7 +114,8 @@ func TestStreamQueueDrained(t *testing.T) {
 	_, k, _, _ := fig2(t)
 	q := xpath.MustParse("//s[t]/p")
 	m := newStreamMatcher(k.Dict(), q, nil)
-	tr := NewTraveler(k, Options{})
+	root, _ := BuildEPT(k, Options{})
+	tr := NewTraveler(root)
 	for {
 		evt := tr.NextEvent()
 		if evt.Kind == EOSEvent {

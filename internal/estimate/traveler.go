@@ -50,18 +50,10 @@ type travFrame struct {
 	emitted bool
 }
 
-// NewTraveler returns a traveler over the kernel under the given options.
-func NewTraveler(k *kernel.Kernel, opt Options) *Traveler {
-	root, _ := BuildEPT(k, opt)
-	return NewTravelerEPT(root)
-}
-
-// NewTravelerEPT returns a traveler streaming an already-built expanded path
-// tree — the estimation-snapshot path, where the EPT is built once per
-// synopsis version and every streaming estimate replays it instead of
-// re-running BuildEPT per query. The event sequence is identical to
-// NewTraveler over the kernel the EPT came from.
-func NewTravelerEPT(root *EPTNode) *Traveler {
+// NewTraveler returns a traveler streaming an already-built expanded path
+// tree (a snapshot's EPT, or BuildEPT's), so every streaming estimate
+// against a snapshot replays the one EPT built for it.
+func NewTraveler(root *EPTNode) *Traveler {
 	t := &Traveler{}
 	if root != nil {
 		t.stack = []travFrame{{node: root, dewey: "1."}}
@@ -105,7 +97,8 @@ func (t *Traveler) NextEvent() Event {
 // Section 4 of the paper, with cardinality and selectivities as attributes.
 func DumpEPTXML(k *kernel.Kernel, opt Options) string {
 	dict := k.Dict()
-	tr := NewTraveler(k, opt)
+	root, _ := BuildEPT(k, opt)
+	tr := NewTraveler(root)
 	var sb strings.Builder
 	depth := 0
 	var pending *Event

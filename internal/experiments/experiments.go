@@ -15,6 +15,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"xseed/internal/metrics"
 	"xseed/internal/nok"
 	"xseed/internal/pathtree"
+	"xseed/internal/treesketch"
 	"xseed/internal/workload"
 	"xseed/internal/xmldoc"
 )
@@ -130,15 +132,10 @@ type built struct {
 // at scale 1.0 the paper's setting applies verbatim.
 func buildDataset(cfg Config, spec DatasetSpec) (*built, error) {
 	spec.CardThreshold *= cfg.scale()
-	factor := spec.Factor * cfg.scale()
-	src, err := datagen.New(spec.Generator, factor, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 	dict := xmldoc.NewDict()
 	kb := kernel.NewBuilder(dict)
 	pb := pathtree.NewBuilder(dict)
-	doc, err := xmldoc.Build(src, dict, kb, pb)
+	doc, err := generate(cfg, spec, dict, kb, pb)
 	if err != nil {
 		return nil, err
 	}
@@ -167,6 +164,18 @@ func buildDataset(cfg Config, spec DatasetSpec) (*built, error) {
 		kernelBuildTime: kernelTime,
 		docStats:        doc.Stats(),
 	}, nil
+}
+
+// generate produces the spec's document at the configured scale, feeding
+// sinks in the same parse pass. Generation is deterministic in (generator,
+// factor, seed), so this is the document rootDataset builds through the
+// public API.
+func generate(cfg Config, spec DatasetSpec, dict *xmldoc.Dict, sinks ...xmldoc.Sink) (*xmldoc.Document, error) {
+	src, err := datagen.New(spec.Generator, spec.Factor*cfg.scale(), cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return xmldoc.Build(src, dict, sinks...)
 }
 
 // combinedWorkload is Section 6.4's internal-API copy of the combined
@@ -211,28 +220,53 @@ func measure(e xseed.Estimator, qs []*xseed.Query) (*metrics.Accumulator, error)
 	return &acc, nil
 }
 
-// ceEstimator adapts a bare CardinalityEstimator (the TreeSketch baseline)
-// to the Estimator interface for measurement; it has no feedback.
-type ceEstimator struct{ ce xseed.CardinalityEstimator }
+// sketchEstimator is the TreeSketch baseline as an xseed.Estimator, so the
+// accuracy experiments measure it exactly as they measure XSEED. It always
+// runs embedded (xseedd serves XSEED synopses only) and takes no feedback.
+type sketchEstimator struct{ syn *treesketch.Synopsis }
 
-func (c ceEstimator) EstimateBatch(ctx context.Context, queries []string) ([]xseed.Result, error) {
+func (s sketchEstimator) EstimateBatch(ctx context.Context, queries []string) ([]xseed.Result, error) {
 	out := make([]xseed.Result, len(queries))
 	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		est, err := c.ce.Estimate(q)
+		est, err := s.syn.EstimateString(q)
 		out[i] = xseed.Result{Query: q, Estimate: est, Err: err}
 	}
 	return out, nil
 }
 
-func (c ceEstimator) Feedback(context.Context, string, float64) error {
+func (s sketchEstimator) Feedback(context.Context, string, float64) error {
 	return fmt.Errorf("experiments: baseline estimator accepts no feedback")
 }
 
-func (c ceEstimator) FeedbackBatch(context.Context, []xseed.FeedbackObs) ([]error, error) {
+func (s sketchEstimator) FeedbackBatch(context.Context, []xseed.FeedbackObs) ([]error, error) {
 	return nil, fmt.Errorf("experiments: baseline estimator accepts no feedback")
+}
+
+// sketchCells builds the TreeSketch baseline of doc within budget once and
+// measures it on each workload. A build that exceeds the operation budget
+// makes every cell DNF, as in the paper; any other build error returns.
+func sketchCells(cfg Config, doc *xmldoc.Document, budget int, workloads ...[]*xseed.Query) ([]Table3Cell, error) {
+	syn, _, err := treesketch.Build(doc, treesketch.Options{BudgetBytes: budget, OpBudget: cfg.tsOpBudget(), Seed: cfg.Seed})
+	dnf := errors.Is(err, treesketch.ErrDNF)
+	if err != nil && !dnf {
+		return nil, err
+	}
+	cells := make([]Table3Cell, len(workloads))
+	for i, qs := range workloads {
+		if dnf {
+			cells[i].DNF = true
+			continue
+		}
+		acc, err := measure(sketchEstimator{syn}, qs)
+		if err != nil {
+			return nil, err
+		}
+		cells[i] = cell(acc)
+	}
+	return cells, nil
 }
 
 // estimatorFor selects the measurement backend for an XSEED synopsis: the
@@ -275,7 +309,7 @@ func rootDataset(cfg Config, spec DatasetSpec) (*xseed.Document, error) {
 // bytes; totalBudget 0, or one too small to leave HET room, builds
 // kernel-only.
 func synopsisWithBudget(d *xseed.Document, spec DatasetSpec, totalBudget int) (*xseed.Synopsis, error) {
-	base := &xseed.Config{CardThreshold: spec.CardThreshold, ReuseEPT: true}
+	base := &xseed.Config{CardThreshold: spec.CardThreshold}
 	kernelOnly, err := xseed.KernelOnly(d, base)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xseed"
+	"xseed/internal/xmldoc"
 )
 
 // Figure5Row is one query-class group of the paper's Figure 5 bar chart:
@@ -27,6 +28,10 @@ func Figure5(cfg Config, w io.Writer) ([]Figure5Row, error) {
 	spec, _ := specByKey("DBLP")
 	spec = scaledSpec(cfg, spec)
 	d, err := rootDataset(cfg, spec)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := generate(cfg, spec, xmldoc.NewDict())
 	if err != nil {
 		return nil, err
 	}
@@ -59,17 +64,21 @@ func Figure5(cfg Config, w io.Writer) ([]Figure5Row, error) {
 		return nil, err
 	}
 	defer fullCleanup()
+	sketch, err := sketchCells(cfg, doc, 50*1024, sp, bp, cp)
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []Figure5Row
 	fprintf(w, "Figure 5: estimation errors by query type on DBLP (RMSE, NRMSE)\n")
 	fprintf(w, "%-4s %6s | %-19s %-19s %-19s\n", "type", "#q", "kernel", "XSEED", "TreeSketch")
-	for _, group := range []struct {
+	for i, group := range []struct {
 		class string
 		qs    []*xseed.Query
 	}{
 		{"SP", sp}, {"BP", bp}, {"CP", cp},
 	} {
-		row := Figure5Row{Class: group.class, Queries: len(group.qs)}
+		row := Figure5Row{Class: group.class, Queries: len(group.qs), TreeSketch: sketch[i]}
 		bacc, err := measure(bare, group.qs)
 		if err != nil {
 			return rows, err
@@ -80,9 +89,6 @@ func Figure5(cfg Config, w io.Writer) ([]Figure5Row, error) {
 			return rows, err
 		}
 		row.XSeed = cell(facc)
-		if row.TreeSketch, err = sketchCell(cfg, d, group.qs, 50*1024); err != nil {
-			return rows, err
-		}
 		fprintf(w, "%-4s %6d | %-19s %-19s %-19s\n",
 			row.Class, row.Queries,
 			renderCell(row.Kernel), renderCell(row.XSeed), renderCell(row.TreeSketch))
@@ -125,7 +131,7 @@ func Figure6(cfg Config, w io.Writer) ([]Figure6Row, error) {
 	for _, mbp := range []int{0, 1, 2} {
 		// The historical Figure 6 setting uses the paper-scale
 		// CARD_THRESHOLD (0 on DBLP) without per-scale adjustment.
-		base := &xseed.Config{CardThreshold: spec.CardThreshold, ReuseEPT: true}
+		base := &xseed.Config{CardThreshold: spec.CardThreshold}
 		row := Figure6Row{MBP: mbp}
 		var syn *xseed.Synopsis
 		if mbp == 0 {

@@ -59,16 +59,16 @@ func Section64(cfg Config, w io.Writer) ([]Section64Row, error) {
 		}
 
 		// Estimation per the paper: the traveler regenerates the EPT per
-		// query (no caching), with the dataset's CARD_THRESHOLD.
+		// query (a fresh snapshot each), with the dataset's CARD_THRESHOLD.
 		eopt := estimate.Options{CardThreshold: spec.CardThreshold}
-		est := estimate.New(b.kern, eopt)
-
+		var sn *estimate.Snapshot
 		start := time.Now()
 		for _, q := range qs {
-			est.Estimate(q.Path)
+			sn = estimate.NewSnapshot(b.kern, b.kern.Dict(), eopt)
+			sn.Estimate(q.Path)
 		}
 		estTime := time.Since(start) / time.Duration(len(qs))
-		eptNodes := est.LastEPTStats().Nodes
+		eptNodes := sn.Stats().Nodes
 
 		start = time.Now()
 		for _, q := range qs {

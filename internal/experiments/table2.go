@@ -53,12 +53,9 @@ func Table2(cfg Config, w io.Writer) ([]Table2Row, error) {
 		// full pre-computation; residency is decided later).
 		start := time.Now()
 		tab, _ := het.Precompute(b.doc, b.pt, b.kern, het.PrecomputeOptions{
-			MBP:           1,
-			BselThreshold: spec.BselThreshold,
-			EstimateOptions: estimate.Options{
-				CardThreshold: spec.CardThreshold,
-				ReuseEPT:      true,
-			},
+			MBP:             1,
+			BselThreshold:   spec.BselThreshold,
+			EstimateOptions: estimate.Options{CardThreshold: spec.CardThreshold},
 		})
 		row.HETTime = time.Since(start)
 		row.HETEntries = tab.NumEntries()

@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
-	"xseed"
 	"xseed/internal/metrics"
+	"xseed/internal/xmldoc"
 )
 
 // Table3Cell is one (program setting, dataset) cell of the paper's Table 3.
@@ -54,6 +53,10 @@ func Table3(cfg Config, w io.Writer) ([]Table3Row, error) {
 		if err != nil {
 			return rows, err
 		}
+		doc, err := generate(cfg, spec, xmldoc.NewDict())
+		if err != nil {
+			return rows, err
+		}
 		qs, err := combinedQueries(cfg, d)
 		if err != nil {
 			return rows, err
@@ -86,12 +89,15 @@ func Table3(cfg Config, w io.Writer) ([]Table3Row, error) {
 			return rows, err
 		}
 
-		if row.Sketch25, err = sketchCell(cfg, d, qs, 25*1024); err != nil {
+		s25, err := sketchCells(cfg, doc, 25*1024, qs)
+		if err != nil {
 			return rows, err
 		}
-		if row.Sketch50, err = sketchCell(cfg, d, qs, 50*1024); err != nil {
+		s50, err := sketchCells(cfg, doc, 50*1024, qs)
+		if err != nil {
 			return rows, err
 		}
+		row.Sketch25, row.Sketch50 = s25[0], s50[0]
 
 		fprintf(w, "%-12s %6d | %-19s | %-19s %-19s | %-19s %-19s\n",
 			row.Dataset, row.Queries,
@@ -116,25 +122,4 @@ func renderCell(c Table3Cell) string {
 		return "DNF"
 	}
 	return fmt.Sprintf("%.1f (%.2f%%)", c.RMSE, c.NRMSE*100)
-}
-
-// sketchCell builds the TreeSketch baseline within budget and measures it
-// through the same Estimator seam (always embedded — xseedd serves XSEED
-// synopses, not TreeSketches).
-func sketchCell(cfg Config, d *xseed.Document, qs []*xseed.Query, budget int) (Table3Cell, error) {
-	ts, _, err := xseed.BuildTreeSketch(d, budget, xseed.TreeSketchOptions{
-		OpBudget: cfg.tsOpBudget(),
-		Seed:     cfg.Seed,
-	})
-	if err != nil {
-		if errors.Is(err, xseed.ErrTreeSketchDNF) {
-			return Table3Cell{DNF: true}, nil
-		}
-		return Table3Cell{DNF: true}, nil
-	}
-	acc, err := measure(ceEstimator{ts}, qs)
-	if err != nil {
-		return Table3Cell{}, err
-	}
-	return cell(acc), nil
 }

@@ -16,6 +16,17 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// estimateQ estimates q against a fresh snapshot of k, so a table change
+// made between two calls reaches the second estimate.
+func estimateQ(k *kernel.Kernel, opt estimate.Options, q *xpath.Path) float64 {
+	return estimate.NewSnapshot(k, k.Dict(), opt).Estimate(q)
+}
+
+// estimateString is estimateQ for query text.
+func estimateString(k *kernel.Kernel, opt estimate.Options, q string) float64 {
+	return estimateQ(k, opt, xpath.MustParse(q))
+}
+
 type built struct {
 	doc *xmldoc.Document
 	k   *kernel.Kernel
@@ -140,8 +151,8 @@ func TestPrecomputePatternsFigure2(t *testing.T) {
 	// With the HET, the branching estimate becomes exact on the dominant
 	// rooted path: |/a/c/s[t]/p| = 9 × 4/9 = 4 (actual 4; bare kernel said
 	// 3.6).
-	est := estimate.New(b.k, estimate.Options{HET: tab})
-	got, _ := est.EstimateString("/a/c/s[t]/p")
+	opt := estimate.Options{HET: tab}
+	got := estimateString(b.k, opt, "/a/c/s[t]/p")
 	if !approx(got, 4, 1e-9) {
 		t.Errorf("|/a/c/s[t]/p| with HET = %g, want 4", got)
 	}
@@ -163,26 +174,26 @@ func TestPrecomputeFigure4EndToEnd(t *testing.T) {
 		t.Fatalf("corr bsel d[f]/e = %v %v, want 0.4", bsel, ok)
 	}
 
-	bare := estimate.New(b.k, estimate.Options{})
-	with := estimate.New(b.k, estimate.Options{HET: tab})
+	bare := estimate.Options{}
+	with := estimate.Options{HET: tab}
 
 	// Simple paths become exact.
 	b.pt.Walk(func(n *pathtree.Node) {
 		q := xpath.MustParse(n.PathString(b.pt.Dict()))
-		if got := with.Estimate(q); !approx(got, float64(n.Card), 1e-9) {
+		if got := estimateQ(b.k, with, q); !approx(got, float64(n.Card), 1e-9) {
 			t.Errorf("|%s| with HET = %g, want %d", n.PathString(b.pt.Dict()), got, n.Card)
 		}
 	})
 
 	// Example 4's error disappears: bare 7.14 -> exact 18.
-	if got, _ := with.EstimateString("/a/b/d/e"); !approx(got, 18, 1e-9) {
+	if got := estimateString(b.k, with, "/a/b/d/e"); !approx(got, 18, 1e-9) {
 		t.Errorf("|/a/b/d/e| with HET = %g, want 18", got)
 	}
 
 	// Example 5's error shrinks: actual 8, bare 2.04, with HET 18×0.4=7.2.
 	actual, _ := b.ev.CountString("/a/b/d[f]/e")
-	bareEst, _ := bare.EstimateString("/a/b/d[f]/e")
-	withEst, _ := with.EstimateString("/a/b/d[f]/e")
+	bareEst := estimateString(b.k, bare, "/a/b/d[f]/e")
+	withEst := estimateString(b.k, with, "/a/b/d[f]/e")
 	if math.Abs(withEst-float64(actual)) >= math.Abs(bareEst-float64(actual)) {
 		t.Errorf("HET did not improve: bare %g, with %g, actual %d", bareEst, withEst, actual)
 	}
@@ -213,8 +224,8 @@ func TestPrecomputeMBP2(t *testing.T) {
 		t.Errorf("corr bsel = %g, want 0.2", bsel)
 	}
 	// The estimator uses it for the 2-predicate query.
-	est := estimate.New(b.k, estimate.Options{HET: tab})
-	got, _ := est.EstimateString("/r/x[e][f]/g")
+	opt := estimate.Options{HET: tab}
+	got := estimateString(b.k, opt, "/r/x[e][f]/g")
 	if !approx(got, 2, 1e-9) {
 		t.Errorf("|/r/x[e][f]/g| = %g, want 2 (exact via 2BP HET)", got)
 	}
@@ -230,8 +241,8 @@ func TestPrecomputeMBP2(t *testing.T) {
 // record a zero-cardinality entry that the estimator then honors.
 func TestFalsePositivePathsZeroed(t *testing.T) {
 	b := build(t, "<r><a><b/></a><c><b><d/></b></c></r>")
-	bare := estimate.New(b.k, estimate.Options{})
-	if got, _ := bare.EstimateString("/r/a/b/d"); got <= 0 {
+	bare := estimate.Options{}
+	if got := estimateString(b.k, bare, "/r/a/b/d"); got <= 0 {
 		t.Fatalf("fixture drift: bare estimate of the false positive = %g, want > 0", got)
 	}
 	tab, _ := Precompute(b.doc, b.pt, b.k, PrecomputeOptions{MBP: 0})
@@ -239,16 +250,16 @@ func TestFalsePositivePathsZeroed(t *testing.T) {
 	if !ok || card != 0 {
 		t.Fatalf("false-positive entry: card=%v ok=%v, want 0/true", card, ok)
 	}
-	with := estimate.New(b.k, estimate.Options{HET: tab})
-	if got, _ := with.EstimateString("/r/a/b/d"); got != 0 {
+	with := estimate.Options{HET: tab}
+	if got := estimateString(b.k, with, "/r/a/b/d"); got != 0 {
 		t.Errorf("with HET |/r/a/b/d| = %g, want 0", got)
 	}
 	// Real paths stay exact.
-	if got, _ := with.EstimateString("/r/c/b/d"); !approx(got, 1, 1e-9) {
+	if got := estimateString(b.k, with, "/r/c/b/d"); !approx(got, 1, 1e-9) {
 		t.Errorf("|/r/c/b/d| = %g, want 1", got)
 	}
 	// Complex queries over the union also improve: //a/b/d is 0.
-	if got, _ := with.EstimateString("//a/b/d"); got != 0 {
+	if got := estimateString(b.k, with, "//a/b/d"); got != 0 {
 		t.Errorf("|//a/b/d| with HET = %g, want 0", got)
 	}
 }
@@ -279,14 +290,14 @@ func TestMaxCandidatesPerNodeCap(t *testing.T) {
 func TestFeedbackSimplePath(t *testing.T) {
 	b := build(t, fixtures.PaperFigure4)
 	tab := New(0)
-	est := estimate.New(b.k, estimate.Options{HET: tab})
+	opt := estimate.Options{HET: tab}
 
 	q := xpath.MustParse("/a/b/d/e")
-	bare := est.Estimate(q)
+	bare := estimateQ(b.k, opt, q)
 	actual := float64(b.ev.Count(q))
 	tab.Feedback(q, actual, bare, 0)
 
-	if got := est.Estimate(q); !approx(got, actual, 1e-9) {
+	if got := estimateQ(b.k, opt, q); !approx(got, actual, 1e-9) {
 		t.Errorf("after feedback |/a/b/d/e| = %g, want %g", got, actual)
 	}
 	// The entry has card only; bsel stays from the kernel (BselOK false).
@@ -299,12 +310,12 @@ func TestFeedbackSimplePath(t *testing.T) {
 func TestFeedbackBranching(t *testing.T) {
 	b := build(t, fixtures.PaperFigure4)
 	tab := New(0)
-	est := estimate.New(b.k, estimate.Options{HET: tab})
+	opt := estimate.Options{HET: tab}
 
 	q := xpath.MustParse("/a/b/d[f]/e")
 	actual := float64(b.ev.Count(q))
-	estimateBefore := est.Estimate(q)
-	base := est.Estimate(StripPreds(q)) // |/a/b/d/e| estimate
+	estimateBefore := estimateQ(b.k, opt, q)
+	base := estimateQ(b.k, opt, StripPreds(q)) // |/a/b/d/e| estimate
 	tab.Feedback(q, actual, estimateBefore, base)
 
 	bsel, ok := tab.LookupPattern(pathhash.Pattern("d", []string{"f"}, "e"))
@@ -314,7 +325,7 @@ func TestFeedbackBranching(t *testing.T) {
 	if bsel <= 0 || bsel > 1 {
 		t.Errorf("corr bsel = %g out of range", bsel)
 	}
-	after := est.Estimate(q)
+	after := estimateQ(b.k, opt, q)
 	if math.Abs(after-actual) > math.Abs(estimateBefore-actual) {
 		t.Errorf("feedback worsened estimate: before %g after %g actual %g",
 			estimateBefore, after, actual)
@@ -346,14 +357,13 @@ func TestStreamMatcherWithHET(t *testing.T) {
 	b := build(t, fixtures.PaperFigure4)
 	tab, _ := Precompute(b.doc, b.pt, b.k, PrecomputeOptions{MBP: 2, BselThreshold: 0.5})
 	opt := estimate.Options{HET: tab}
-	est := estimate.New(b.k, opt)
 	for _, qs := range []string{
 		"/a/b/d/e", "/a/c/d/e", "/a/b/d[f]/e", "/a/c/d[e]/f",
 		"//d[f]/e", "//d[e][f]/e", "/a/b/d[e][f]/e",
 	} {
 		q := xpath.MustParse(qs)
-		want := est.Estimate(q)
-		got, ok := estimate.StreamEstimate(b.k, q, opt)
+		want := estimateQ(b.k, opt, q)
+		got, ok := estimate.NewSnapshot(b.k, b.k.Dict(), opt).StreamEstimate(q)
 		if !ok {
 			t.Fatalf("%s: not streamable", qs)
 		}

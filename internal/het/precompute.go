@@ -69,8 +69,9 @@ func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt P
 	dict := pt.Dict()
 	eopt := opt.EstimateOptions
 	eopt.HET = nil // rank against the bare kernel
-	eopt.ReuseEPT = true
-	est := estimate.New(k, eopt)
+	// One snapshot: its EPT feeds the lockstep walk, its plans rank the
+	// branching candidates.
+	sn := estimate.NewSnapshot(k, k.Dict(), eopt)
 	ev := nok.New(doc)
 
 	var entries []Entry
@@ -88,7 +89,7 @@ func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt P
 	//     The kernel cannot tell these from real paths, and they dominate
 	//     complex-path error on heterogeneous data; the path tree knows
 	//     they do not exist, so pre-computation records them.
-	root, _ := estimate.BuildEPT(k, eopt)
+	root, _ := sn.EPT()
 	var walk func(pn *pathtree.Node, en *estimate.EPTNode, h uint32)
 	walk = func(pn *pathtree.Node, en *estimate.EPTNode, h uint32) {
 		// At least one of pn, en is non-nil; they describe the same rooted
@@ -201,7 +202,7 @@ func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt P
 				stats.NokEvaluations++
 				a.act += actual
 				a.base += float64(r.Card)
-				a.est += est.Estimate(q)
+				a.est += sn.Estimate(q)
 				a.estBase += float64(r.Card) // base is exact from the path tree
 				return true
 			}

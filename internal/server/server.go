@@ -524,7 +524,7 @@ func synopsisConfig(c *api.SynopsisConfig) *xseed.Config {
 	if c == nil {
 		return nil
 	}
-	cfg := &xseed.Config{CardThreshold: c.CardThreshold, ReuseEPT: c.ReuseEPT}
+	cfg := &xseed.Config{CardThreshold: c.CardThreshold}
 	switch {
 	case c.KernelOnly:
 		cfg.HET = &xseed.HETConfig{Disable: true}

@@ -73,6 +73,32 @@ func createFixture(t *testing.T, ts *httptest.Server, name string) api.SynopsisI
 	return info
 }
 
+// TestHTTPCreateConfigCompat: a create request may still carry the retired
+// reuseEPT knob (the body decoder rejects unknown fields, so it must stay
+// decodable), and a card threshold a snapshot cannot store is a 400.
+func TestHTTPCreateConfigCompat(t *testing.T) {
+	_, ts := newTestServer(t)
+	var info api.SynopsisInfo
+	resp := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses", map[string]any{
+		"name": "reuse", "xml": fixtures.PaperFigure2, "config": map[string]any{"reuseEPT": true},
+	}, &info)
+	if resp.StatusCode != http.StatusCreated || info.Name != "reuse" {
+		t.Fatalf("create with reuseEPT: status %d, info %+v", resp.StatusCode, info)
+	}
+	var out api.EstimateResponse
+	if resp := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/reuse/estimate",
+		api.EstimateRequest{Queries: []string{"/a/c/s"}}, &out); resp.StatusCode != http.StatusOK || out.Results[0].Estimate != 5 {
+		t.Fatalf("estimate: status %d, %+v", resp.StatusCode, out.Results)
+	}
+	var apiErr api.ErrorResponse
+	resp = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses", map[string]any{
+		"name": "huge", "xml": fixtures.PaperFigure2, "config": map[string]any{"cardThreshold": 3e9},
+	}, &apiErr)
+	if resp.StatusCode != http.StatusBadRequest || apiErr.Err == nil || apiErr.Err.Code != api.CodeBadRequest {
+		t.Fatalf("create with cardThreshold 3e9: status %d, err %+v", resp.StatusCode, apiErr.Err)
+	}
+}
+
 func TestHTTPHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")

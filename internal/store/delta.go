@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"xseed"
 )
@@ -132,13 +133,18 @@ func scanLog(r io.Reader, limit int64, fn func(deltaRecord) error) (replayResult
 			res.Torn, res.TornWhy, res.Trailing = true, fmt.Sprintf("implausible record length %d", length), recHeaderSize
 			return res, nil
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
+		// The length is only a claim until its bytes arrive: the buffer at
+		// most doubles per read, so a lone header cannot claim 64 MiB.
+		payload = payload[:0]
+		for err == nil && len(payload) < int(length) {
+			if len(payload) == cap(payload) {
+				payload = slices.Grow(payload, max(len(payload), 256))
+			}
+			n, err = io.ReadFull(r, payload[len(payload):min(cap(payload), int(length))])
+			payload = payload[:len(payload)+n]
 		}
-		payload = payload[:length]
-		n, err = io.ReadFull(r, payload)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			res.Torn, res.TornWhy, res.Trailing = true, "short record payload", recHeaderSize+int64(n)
+			res.Torn, res.TornWhy, res.Trailing = true, "short record payload", recHeaderSize+int64(len(payload))
 			return res, nil
 		}
 		if err != nil {

@@ -140,6 +140,30 @@ func TestMergingToBudget(t *testing.T) {
 	_ = statsBig
 }
 
+// TestFigure2DescendantExact: with room for the whole count-stable
+// partition, the baseline estimates //p on the paper's Figure 2 document
+// exactly.
+func TestFigure2DescendantExact(t *testing.T) {
+	doc := buildDoc(t, fixtures.PaperFigure2)
+	syn, stats, err := Build(doc, Options{BudgetBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DNF {
+		t.Error("unexpected DNF")
+	}
+	got, err := syn.EstimateString("//p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !approx(got, 17, 1e-6) {
+		t.Errorf("|//p| = %g, want 17 (exact under count-stability)", got)
+	}
+	if syn.SizeBytes() <= 0 {
+		t.Error("SizeBytes = 0")
+	}
+}
+
 func TestDNFOnOpBudget(t *testing.T) {
 	doc := buildDoc(t, fixtures.PaperFigure2)
 	_, stats, err := Build(doc, Options{OpBudget: 10})

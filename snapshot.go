@@ -38,9 +38,7 @@ func (s *Synopsis) Snapshot() *Snapshot { return s.snap.Load() }
 func (sn *Snapshot) Version() uint64 { return sn.ver }
 
 // EstimateQuery estimates a pre-parsed query against the snapshot.
-func (sn *Snapshot) EstimateQuery(q *Query) float64 {
-	return estimate.Compile(q.p, sn.es.Dict()).Run(sn.es)
-}
+func (sn *Snapshot) EstimateQuery(q *Query) float64 { return sn.es.Estimate(q.p) }
 
 // Estimate parses and estimates against the snapshot.
 func (sn *Snapshot) Estimate(query string) (float64, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"xseed/internal/estimate"
@@ -23,21 +24,13 @@ type Config struct {
 
 	// CardThreshold prunes estimator traversal of expanded-path-tree nodes
 	// whose estimated cardinality is at or below it. The paper uses 0 for
-	// ordinary documents and 20 for the highly recursive Treebank.
+	// ordinary documents and 20 for the highly recursive Treebank. Snapshots
+	// store it rounded to millionths; BuildSynopsis rejects NaN, infinities
+	// and magnitudes of 2^51 millionths (about 2.25e9) or more.
 	CardThreshold float64
 
 	// MaxEPTNodes caps the expanded path tree (safety bound; 0 = 1<<20).
 	MaxEPTNodes int
-
-	// ReuseEPT is retained for stream compatibility and for the low-level
-	// estimate.Estimator (where off — the default — regenerates the EPT per
-	// query, as the paper's traveler does). Synopsis estimates no longer
-	// consult it: every published estimation snapshot builds its expanded
-	// path tree at most once (lazily, on first estimate) and retains it
-	// until the next mutation publishes a successor, regardless of this
-	// flag — that per-version caching is what makes the lock-free read
-	// path CPU-bound.
-	ReuseEPT bool
 }
 
 // HETConfig controls hyper-edge table pre-computation and budget.
@@ -181,10 +174,12 @@ func BuildSynopsis(d *Document, cfg *Config) (*Synopsis, error) {
 	if hcfg == nil {
 		hcfg = Default1BP()
 	}
+	if _, err := thresholdMicros(cfg.CardThreshold); err != nil {
+		return nil, err
+	}
 	opt := estimate.Options{
 		CardThreshold: cfg.CardThreshold,
 		MaxEPTNodes:   cfg.MaxEPTNodes,
-		ReuseEPT:      cfg.ReuseEPT,
 	}
 	s := &Synopsis{kern: d.kern, opt: opt}
 	switch {
@@ -496,12 +491,12 @@ func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
 			return total, err
 		}
 	}
+	// Options: threshold in millionths (range-checked when the synopsis was
+	// built or read), EPT node cap, and a retired flag byte, written 0.
 	var opts [17]byte
-	binary.LittleEndian.PutUint64(opts[0:], uint64(int64(s.opt.CardThreshold*1e6)))
+	micros, _ := thresholdMicros(s.opt.CardThreshold)
+	binary.LittleEndian.PutUint64(opts[0:], uint64(micros))
 	binary.LittleEndian.PutUint64(opts[8:], uint64(int64(s.opt.MaxEPTNodes)))
-	if s.opt.ReuseEPT {
-		opts[16] = 1
-	}
 	m, err = w.Write(opts[:])
 	total += int64(m)
 	return total, err
@@ -548,9 +543,27 @@ func ReadSynopsis(r io.Reader) (*Synopsis, error) {
 	if _, err := io.ReadFull(br, opts[:]); err != nil {
 		return nil, fmt.Errorf("xseed: synopsis options: %w", err)
 	}
-	s.opt.CardThreshold = float64(int64(binary.LittleEndian.Uint64(opts[0:]))) / 1e6
+	micros := int64(binary.LittleEndian.Uint64(opts[0:]))
+	if micros <= -maxThresholdMicros || micros >= maxThresholdMicros {
+		return nil, fmt.Errorf("xseed: synopsis options: card threshold field %d out of range", micros)
+	}
+	s.opt.CardThreshold = float64(micros) / 1e6
 	s.opt.MaxEPTNodes = int(int64(binary.LittleEndian.Uint64(opts[8:])))
-	s.opt.ReuseEPT = opts[16] == 1
 	s.publish()
 	return s, nil
+}
+
+// maxThresholdMicros bounds the stored card threshold: a whole number of
+// millionths below 2^51 survives the division by 1e6 on read and the
+// rounded multiplication on the next write exactly; larger ones need not.
+const maxThresholdMicros = 1 << 51
+
+// thresholdMicros converts a card threshold to the millionths the stream
+// stores, rounded to nearest.
+func thresholdMicros(t float64) (int64, error) {
+	m := math.Round(t * 1e6)
+	if !(math.Abs(m) < maxThresholdMicros) { // also catches NaN
+		return 0, fmt.Errorf("xseed: card threshold %v is outside ±%g", t, maxThresholdMicros/1e6)
+	}
+	return int64(m), nil
 }

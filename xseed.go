@@ -26,8 +26,7 @@
 // The package also provides exact evaluation over a succinct document
 // storage (Count), synthetic dataset generation mirroring the paper's
 // experiments (Generate), incremental synopsis maintenance under document
-// updates, query-feedback self-tuning, and a TreeSketch baseline for
-// comparison.
+// updates, and query-feedback self-tuning.
 package xseed
 
 import (

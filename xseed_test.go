@@ -2,6 +2,9 @@ package xseed
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -336,6 +339,124 @@ func TestReadSynopsisV1Fixture(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesPinned pins the stream bytes of three generated
+// synopses, so neither construction nor the format drifts silently.
+func TestSnapshotBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		dataset string
+		cfg     *Config
+		sha256  string
+		size    int
+	}{
+		{"xmark", &Config{HET: &HETConfig{MBP: 1}},
+			"94bd8d28e53e49d0d700fd4c44d27f33da73536da7b0be9a59cf71f0e2632d56", 7441},
+		{"treebank", &Config{CardThreshold: 20, HET: &HETConfig{MBP: 1}},
+			"78d9629756477d247d5ec535d135a796aba205694033407f68d8bf2e7cfb6b4c", 202233},
+		{"dblp", &Config{HET: &HETConfig{MBP: 2}},
+			"dfa95c66c591ce3aca32d5a125ea98af1fead7a768f46942b73dd548b27212f8", 31294},
+	} {
+		d, err := Generate(c.dataset, 0.01, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syn, err := BuildSynopsis(d, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := syn.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.sha256 || buf.Len() != c.size {
+			t.Errorf("%s: %d bytes hashing to %s, want %d bytes hashing to %s", c.dataset, buf.Len(), got, c.size, c.sha256)
+		}
+	}
+}
+
+// TestSnapshotRetiredFlagByte: the last byte of the options block held an
+// EPT-reuse flag that nothing reads any more. A stream with it set loads
+// and estimates as before, and re-encodes with it cleared.
+func TestSnapshotRetiredFlagByte(t *testing.T) {
+	syn, err := BuildSynopsis(fig2Doc(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := syn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	clean := buf.Bytes()
+	if b := clean[len(clean)-1]; b != 0 {
+		t.Fatalf("retired flag byte written as %d, want 0", b)
+	}
+	flagged := bytes.Clone(clean)
+	flagged[len(flagged)-1] = 1
+	loaded, err := ReadSynopsis(bytes.NewReader(flagged))
+	if err != nil {
+		t.Fatalf("a stream with the retired flag set no longer loads: %v", err)
+	}
+	for _, q := range []string{"/a/c/s/s/t", "/a/c/s[t]/p", "//s//p", "//*"} {
+		want, _ := syn.Estimate(q)
+		if got, _ := loaded.Estimate(q); got != want {
+			t.Errorf("%s = %g after the load, want %g", q, got, want)
+		}
+	}
+	var again bytes.Buffer
+	if _, err := loaded.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), clean) {
+		t.Errorf("re-encoding kept the retired flag: last byte %d", again.Bytes()[again.Len()-1])
+	}
+}
+
+// TestCardThresholdRange: the stream stores the threshold in whole
+// millionths, rounded; BuildSynopsis refuses thresholds it cannot store
+// exactly and ReadSynopsis refuses such fields, so every stream the writer
+// emits decodes and re-encodes to itself.
+func TestCardThresholdRange(t *testing.T) {
+	d := fig2Doc(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 3e9, -3e9} {
+		if _, err := BuildSynopsis(d, &Config{CardThreshold: bad}); err == nil {
+			t.Errorf("BuildSynopsis accepted card threshold %v", bad)
+		}
+	}
+	syn, err := BuildSynopsis(d, &Config{CardThreshold: 0.003919})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := syn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	field := stream[len(stream)-17:]
+	if got := int64(binary.LittleEndian.Uint64(field)); got != 3919 {
+		t.Errorf("threshold 0.003919 stored as %d millionths, want 3919", got)
+	}
+	for _, c := range []struct {
+		micros int64
+		ok     bool
+	}{{1<<51 - 1, true}, {-(1<<51 - 1), true}, {1 << 51, false}, {-1 << 51, false}, {math.MinInt64, false}} {
+		binary.LittleEndian.PutUint64(field, uint64(c.micros))
+		loaded, err := ReadSynopsis(bytes.NewReader(stream))
+		if (err == nil) != c.ok {
+			t.Errorf("threshold field %d: err = %v, want ok = %v", c.micros, err, c.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		var again bytes.Buffer
+		if _, err := loaded.WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), stream) {
+			t.Errorf("threshold field %d did not re-encode to itself", c.micros)
+		}
+	}
+}
+
 // TestFeedbackDeltaReplay asserts the durability contract behind O(delta)
 // persistence: applying the extracted HETDelta to a second synopsis
 // reproduces the fed-back synopsis's estimates without re-estimation.
@@ -368,31 +489,6 @@ func TestFeedbackDeltaReplay(t *testing.T) {
 		if !approx(a, b, 1e-9) {
 			t.Errorf("%s: replica %g != fed %g", q, b, a)
 		}
-	}
-}
-
-func TestTreeSketchBaseline(t *testing.T) {
-	d := fig2Doc(t)
-	ts, info, err := BuildTreeSketch(d, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.DNF {
-		t.Error("unexpected DNF")
-	}
-	est, err := ts.Estimate("//p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(est, 17, 1e-6) {
-		t.Errorf("|//p| = %g, want 17 (exact under count-stability)", est)
-	}
-	if ts.SizeBytes() <= 0 {
-		t.Error("SizeBytes = 0")
-	}
-	// DNF path.
-	if _, info, err := BuildTreeSketch(d, 64, TreeSketchOptions{OpBudget: 5}); err != ErrTreeSketchDNF || !info.DNF {
-		t.Errorf("err = %v, info = %+v; want DNF", err, info)
 	}
 }
 

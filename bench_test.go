@@ -142,6 +142,28 @@ func BenchmarkHETPrecompute1BP(b *testing.B) {
 	}
 }
 
+// BenchmarkFeedbackPublish is one feedback round of the served read-write
+// shape (treebankSynopsis): 16 simple-path feedbacks that each change a
+// resident card, then Publish and EPTStats — the expanded path tree the
+// next estimate would build. Its B/op is what keeping the estimator current
+// allocates per round.
+func BenchmarkFeedbackPublish(b *testing.B) {
+	syn, qs := treebankSynopsis(b)
+	syn.EPTStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 16; j++ {
+			n := i*16 + j
+			// Every card fed back is new to its path: n grows past any
+			// earlier feedback, and the half keeps it off actual counts.
+			syn.FeedbackQueryDeltaDeferred(qs[n%len(qs)], float64(n)+0.5)
+		}
+		syn.Publish()
+		syn.EPTStats()
+	}
+}
+
 // BenchmarkTreeSketchBuild measures baseline construction at a 25KB budget.
 func BenchmarkTreeSketchBuild(b *testing.B) {
 	d := benchDoc(b)

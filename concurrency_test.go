@@ -1,11 +1,16 @@
 package xseed
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"xseed/internal/estimate"
 	"xseed/internal/fixtures"
+	"xseed/internal/het"
 )
 
 // TestConcurrentEstimates exercises the Synopsis concurrency contract: any
@@ -227,4 +232,140 @@ func TestSnapshotConsistencyHammer(t *testing.T) {
 		t.Fatal("no estimates observed")
 	}
 	t.Logf("verified %d estimates across %d snapshots", total, len(snaps))
+}
+
+// flatReference returns the estimation snapshot sn would be with its
+// hyper-edge view built flat from the synopsis's current table: the table
+// round-trips through its serialized form, whose load builds its first
+// view in one pass. Call it from the goroutine that serializes mutations.
+func flatReference(t *testing.T, syn *Synopsis, sn *Snapshot) *estimate.Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := syn.tab.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := het.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sn.es.Options()
+	opt.HET = flat.View()
+	return estimate.NewSnapshot(sn.es.Kernel(), sn.es.Dict(), opt)
+}
+
+// TestDerivedViewHammer: readers estimate against pinned snapshots while
+// one mutator runs feedback rounds whose hyper-edge views derive from the
+// previous ones — through a budget cap that moves entries across the
+// resident boundary, and past at least one flatten (each round adds four
+// new keys, so the overlay outgrows its base's share plus the floor of 64
+// within about 25 rounds). Every estimate must equal, bit for bit, what a
+// flat-view snapshot of the same table state answers, and a round that
+// changed no answer must keep the snapshot.
+func TestDerivedViewHammer(t *testing.T) {
+	d, err := Generate("xmark", 0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := BuildSynopsis(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := d.SimplePathQueries(0)
+	bp, err := d.RandomWorkload("BP", 16, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := append(append([]*Query{}, sp...), bp...)
+	queries = append(queries, MustParseQuery("//item//name"), MustParseQuery("/site/*/person"))
+
+	const rounds = 60
+	refs := map[uint64]*estimate.Snapshot{1: flatReference(t, syn, syn.Snapshot())}
+	type obs struct {
+		ver uint64
+		qi  int
+		val float64
+	}
+	const readers = 3
+	observed := make([][]obs, readers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sn := syn.Snapshot()
+				qi := (g + i) % len(queries)
+				var val float64
+				if i%2 == 0 {
+					val = sn.EstimateQuery(queries[qi])
+				} else {
+					val = sn.Compile(queries[qi]).Run(sn)
+				}
+				observed[g] = append(observed[g], obs{sn.Version(), qi, val})
+			}
+		}(g)
+	}
+
+	kept := 0
+	for r := 0; r < rounds; r++ {
+		if r == rounds/4 {
+			_, total := syn.HETEntries()
+			syn.SetBudget(syn.KernelSizeBytes() + total*3/4*het.EntrySize)
+			refs[syn.Snapshot().Version()] = flatReference(t, syn, syn.Snapshot())
+		}
+		before := syn.Snapshot()
+		confirm := r%5 == 4
+		for j := 0; j < 8; j++ {
+			var q *Query
+			var actual float64
+			switch {
+			case confirm:
+				q = sp[(r+j)%len(sp)]
+				actual = before.EstimateQuery(q)
+			case j < 4:
+				q = MustParseQuery(fmt.Sprintf("/site/fresh%d_%d", r, j))
+				actual = float64(r + j + 1)
+			case j < 7:
+				q = sp[(r*3+j)%len(sp)]
+				actual = float64(r*j%17 + 1)
+			default:
+				q = bp[r%len(bp)]
+				actual = float64(r%5 + 1)
+			}
+			syn.FeedbackQueryDeltaDeferred(q, actual)
+		}
+		syn.Publish()
+		sn := syn.Snapshot()
+		if sn == before {
+			kept++
+			continue
+		}
+		refs[sn.Version()] = flatReference(t, syn, sn)
+	}
+	close(stop)
+	wg.Wait()
+	if kept == 0 {
+		t.Fatal("no confirming round kept its snapshot")
+	}
+
+	total := 0
+	for g := range observed {
+		for _, o := range observed[g] {
+			ref := refs[o.ver]
+			if ref == nil {
+				t.Fatalf("reader %d observed unpublished snapshot version %d", g, o.ver)
+			}
+			if want := ref.Estimate(queries[o.qi].p); math.Float64bits(o.val) != math.Float64bits(want) {
+				t.Fatalf("reader %d: %s at version %d = %v, flat view %v", g, queries[o.qi], o.ver, o.val, want)
+			}
+			total++
+		}
+	}
+	t.Logf("verified %d estimates across %d snapshots (%d rounds kept theirs)", total, len(refs), kept)
 }

@@ -106,8 +106,9 @@ func (l *LocalEstimator) Feedback(ctx context.Context, query string, actual floa
 }
 
 // FeedbackBatch applies each observation in order with deferred snapshot
-// publication and publishes exactly one successor covering the batch.
-// Parse failures are per-item; cancellation fails the whole call.
+// publication and publishes at most one successor covering the batch (none
+// when the batch changed nothing an estimate reads). Parse failures are
+// per-item; cancellation fails the whole call.
 func (l *LocalEstimator) FeedbackBatch(ctx context.Context, items []FeedbackObs) ([]error, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

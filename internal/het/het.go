@@ -12,6 +12,7 @@
 package het
 
 import (
+	"math"
 	"sort"
 
 	"xseed/internal/pathhash"
@@ -60,8 +61,20 @@ type Table struct {
 	// idx locates every entry (resident or not) by (hash, kind).
 	idx map[tkey]int
 
+	// dups holds the keys with more than one entry in all: AddBatch keeps
+	// colliding hashes, which real tables have (treebank ×0.1's 39k
+	// precomputed entries hold one pair), and Add never creates one. Nil
+	// when there are none.
+	dups map[tkey]struct{}
+
 	// limit is the resident prefix length: all[:limit] fits the budget.
 	limit int
+
+	// view is the last View handed out, and touched the keys whose lookup
+	// answer may have changed since; View derives its successor from
+	// them. A nil view makes the next View a full build.
+	view    *View
+	touched []tkey
 }
 
 // New returns an empty table with the given memory budget in bytes. A
@@ -107,6 +120,7 @@ func (t *Table) Add(e Entry) {
 		}
 		t.all[i] = e
 		t.reposition(i)
+		t.touch(k)
 		return
 	}
 	// New entry: insert after any equal-Err entries (the order a stable
@@ -119,7 +133,31 @@ func (t *Table) Add(e Entry) {
 		t.idx[tkey{t.all[j].Hash, t.all[j].Pattern}] = j
 	}
 	t.limit = t.residentLimit()
+	t.touch(k)
 }
+
+// touch records, after an Add of k, every key whose lookup answer the Add
+// may have changed: k itself, and the entries now at limit-1 and limit.
+// An Add moves every other entry by at most one slot, so only those two can
+// have crossed the resident boundary. A list longer than the table (a long
+// Replay) is worth less than a full build, so it drops the view instead.
+func (t *Table) touch(k tkey) {
+	if t.view == nil {
+		return
+	}
+	t.touched = append(t.touched, k)
+	for _, i := range [2]int{t.limit - 1, t.limit} {
+		if i >= 0 && i < len(t.all) {
+			t.touched = append(t.touched, tkey{t.all[i].Hash, t.all[i].Pattern})
+		}
+	}
+	if len(t.touched) > len(t.all) {
+		t.dropView()
+	}
+}
+
+// dropView makes the next View a full build.
+func (t *Table) dropView() { t.view, t.touched = nil, nil }
 
 // reposition restores rank order after the entry at i changed its error,
 // shifting only the entries between its old and new positions.
@@ -156,16 +194,30 @@ func (t *Table) AddBatch(entries []Entry) {
 	for i := range t.all {
 		t.idx[tkey{t.all[i].Hash, t.all[i].Pattern}] = i
 	}
+	t.dups = nil
+	if len(t.idx) < len(t.all) {
+		t.dups = make(map[tkey]struct{})
+		for i := range t.all {
+			if k := (tkey{t.all[i].Hash, t.all[i].Pattern}); t.idx[k] != i {
+				t.dups[k] = struct{}{}
+			}
+		}
+	}
 	t.limit = t.residentLimit()
+	t.dropView()
 }
 
 // SetBudget changes the resident memory budget in bytes and recomputes the
 // resident set. This is the "dynamic reconfiguration" the paper describes:
 // entries can be dropped or readmitted at any time without touching the
-// kernel. Residency is a prefix of the ranked table, so this is O(1).
+// kernel. Residency is a prefix of the ranked table, so this is O(1); a
+// change of the resident set makes the next View a full build.
 func (t *Table) SetBudget(bytes int) {
 	t.budget = bytes
-	t.limit = t.residentLimit()
+	if limit := t.residentLimit(); limit != t.limit {
+		t.limit = limit
+		t.dropView()
+	}
 }
 
 // Budget returns the configured budget in bytes (<= 0: unlimited).
@@ -197,26 +249,119 @@ func (t *Table) residentLimit() int {
 	return limit
 }
 
-// pathVal is the payload of one resident simple-path hyper-edge in a View.
+// pathVal is what a View answers for one simple-path hash; ok false (all
+// fields zero) is a miss, which an overlay stores as a tombstone for a key
+// that left the resident set.
 type pathVal struct {
 	card   float64
 	bsel   float64
 	bselOK bool
+	ok     bool
+}
+
+// patVal is what a View answers for one branching-pattern hash.
+type patVal struct {
+	bsel float64
+	ok   bool
+}
+
+func (a pathVal) same(b pathVal) bool {
+	return math.Float64bits(a.card) == math.Float64bits(b.card) &&
+		math.Float64bits(a.bsel) == math.Float64bits(b.bsel) &&
+		a.bselOK == b.bselOK && a.ok == b.ok
+}
+
+func (a patVal) same(b patVal) bool {
+	return math.Float64bits(a.bsel) == math.Float64bits(b.bsel) && a.ok == b.ok
 }
 
 // View is an immutable snapshot of the table's resident set. It implements
 // the estimator's HET interface, so an estimation snapshot can keep
 // consulting the hyper-edges it was published with while feedback and budget
 // changes mutate the live table underneath — lock-free readers never observe
-// a half-shifted rank array. Building one is O(resident); the estimation
-// layer builds a fresh view inside each mutation's critical section.
+// a half-shifted rank array.
+//
+// A view is a flat base of the resident set plus an overlay of the keys
+// whose answer changed since the base was built. Table.View derives each
+// view from the last one it handed out, sharing the base and copying the
+// overlay, so a publication costs what the feedback changed rather than
+// O(resident); once the overlay outgrows a fixed share of the base, the
+// table flattens into a new base. Nothing reachable from a view is written
+// after it is handed out.
 type View struct {
+	// paths and patterns are the flat base, shared by every view derived
+	// from it. Paths and patterns key separate maps so that lookups stay on
+	// the runtime's 32-bit-key fast path.
 	paths    map[uint32]pathVal
 	patterns map[uint32]float64
+
+	// opaths and opatterns overlay the base; nil when empty.
+	opaths    map[uint32]pathVal
+	opatterns map[uint32]patVal
 }
 
-// View snapshots the current resident prefix.
+// Flattening threshold: a derived view whose overlay holds more than
+// len(base)/overlayShare + overlayFloor keys is rebuilt as a flat base.
+const (
+	overlayShare = 8
+	overlayFloor = 64
+)
+
+// View returns an immutable view of the current resident set: the last view
+// handed out when no lookup answer changed since (pointer equality is how
+// the publishing layer knows an estimate would read the same values),
+// otherwise a successor derived from it through the touched keys, or a full
+// build after AddBatch, a resident-limit change, or an overlay that
+// outgrew its base.
 func (t *Table) View() *View {
+	old := t.view
+	if old == nil {
+		return t.flatten()
+	}
+	var opaths map[uint32]pathVal
+	var opatterns map[uint32]patVal
+	for _, k := range t.touched {
+		if k.pattern {
+			if now := t.patternAnswer(k.hash); !now.same(old.pattern(k.hash)) {
+				if opatterns == nil {
+					opatterns = cloneOverlay(old.opatterns)
+				}
+				opatterns[k.hash] = now
+			}
+		} else if now := t.pathAnswer(k.hash); !now.same(old.path(k.hash)) {
+			if opaths == nil {
+				opaths = cloneOverlay(old.opaths)
+			}
+			opaths[k.hash] = now
+		}
+	}
+	t.touched = t.touched[:0]
+	if opaths == nil && opatterns == nil {
+		return old
+	}
+	v := *old
+	if opaths != nil {
+		v.opaths = opaths
+	}
+	if opatterns != nil {
+		v.opatterns = opatterns
+	}
+	if len(v.opaths)+len(v.opatterns) > (len(v.paths)+len(v.patterns))/overlayShare+overlayFloor {
+		return t.flatten()
+	}
+	t.view = &v
+	return t.view
+}
+
+// flatten builds a view of the resident prefix with an empty overlay and
+// makes it the one later views derive from.
+func (t *Table) flatten() *View {
+	t.view, t.touched = t.build(), t.touched[:0]
+	return t.view
+}
+
+// build returns a flat view of the resident prefix, written in rank order.
+func (t *Table) build() *View {
 	v := &View{
 		paths:    make(map[uint32]pathVal, t.limit),
 		patterns: make(map[uint32]float64, t.limit/4),
@@ -231,24 +376,89 @@ func (t *Table) View() *View {
 			}
 			continue
 		}
-		v.paths[e.Hash] = pathVal{card: e.Card, bsel: e.Bsel, bselOK: e.BselOK}
+		v.paths[e.Hash] = pathVal{card: e.Card, bsel: e.Bsel, bselOK: e.BselOK, ok: true}
 	}
 	return v
 }
 
+// answerPos returns the position of the entry a flat view of the table
+// answers k from, or -1 when it answers a miss: the key's entry when it is
+// resident (and, for a pattern, carries a selectivity). build writes the
+// prefix in rank order, so for a key with duplicates the last qualifying
+// resident copy wins; those keys are rare, and scanned.
+func (t *Table) answerPos(k tkey) int {
+	if _, dup := t.dups[k]; !dup {
+		if i, ok := t.idx[k]; ok && i < t.limit && (!k.pattern || t.all[i].BselOK) {
+			return i
+		}
+		return -1
+	}
+	for i := t.limit - 1; i >= 0; i-- {
+		if e := &t.all[i]; e.Hash == k.hash && e.Pattern == k.pattern && (!k.pattern || e.BselOK) {
+			return i
+		}
+	}
+	return -1
+}
+
+// pathAnswer is what a flat view of the table answers for path hash h.
+func (t *Table) pathAnswer(h uint32) pathVal {
+	i := t.answerPos(tkey{h, false})
+	if i < 0 {
+		return pathVal{}
+	}
+	e := &t.all[i]
+	return pathVal{card: e.Card, bsel: e.Bsel, bselOK: e.BselOK, ok: true}
+}
+
+// patternAnswer is what a flat view of the table answers for pattern hash h.
+func (t *Table) patternAnswer(h uint32) patVal {
+	i := t.answerPos(tkey{h, true})
+	if i < 0 {
+		return patVal{}
+	}
+	return patVal{bsel: t.all[i].Bsel, ok: true}
+}
+
+// cloneOverlay copies an overlay map (nil included) for a successor view to
+// extend.
+func cloneOverlay[V any](m map[uint32]V) map[uint32]V {
+	out := make(map[uint32]V, len(m)+1)
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+func (v *View) path(h uint32) pathVal {
+	if v.opaths != nil {
+		if p, hit := v.opaths[h]; hit {
+			return p
+		}
+	}
+	return v.paths[h]
+}
+
+func (v *View) pattern(h uint32) patVal {
+	if v.opatterns != nil {
+		if p, hit := v.opatterns[h]; hit {
+			return p
+		}
+	}
+	bsel, ok := v.patterns[h]
+	return patVal{bsel: bsel, ok: ok}
+}
+
 // LookupPath implements estimate.HET over the frozen resident set.
 func (v *View) LookupPath(h uint32) (card, bsel float64, bselOK, ok bool) {
-	p, ok := v.paths[h]
-	if !ok {
-		return 0, 0, false, false
-	}
-	return p.card, p.bsel, p.bselOK, true
+	p := v.path(h)
+	return p.card, p.bsel, p.bselOK, p.ok
 }
 
 // LookupPattern implements estimate.HET over the frozen resident set.
 func (v *View) LookupPattern(h uint32) (bsel float64, ok bool) {
-	bsel, ok = v.patterns[h]
-	return bsel, ok
+	p := v.pattern(h)
+	return p.bsel, p.ok
 }
 
 // Feedback records an executed query's actual cardinality (paper Figure 1:

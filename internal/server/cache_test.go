@@ -15,6 +15,28 @@ func fixtureSnapshot(t testing.TB) (*xseed.Synopsis, *xseed.Snapshot) {
 	return syn, syn.Snapshot()
 }
 
+// retune feeds back one more than the current estimate of a Figure 2
+// simple path, so the synopsis publishes a newer snapshot, and returns it.
+// A bare Publish, like feedback that confirms a value the synopsis already
+// holds, keeps the current snapshot.
+func retune(t testing.TB, syn *xseed.Synopsis) *xseed.Snapshot {
+	t.Helper()
+	const q = "/a/c/s/s/t"
+	before := syn.Snapshot()
+	est, err := before.Estimate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := syn.Feedback(q, est+1); err != nil {
+		t.Fatal(err)
+	}
+	sn := syn.Snapshot()
+	if sn.Version() != before.Version()+1 {
+		t.Fatalf("feedback changing %s: version %d -> %d, want a publication", q, before.Version(), sn.Version())
+	}
+	return sn
+}
+
 // putAt compiles q against sn and fills its entry of synopsis id at sn's
 // version, with no parse + compile cost on record.
 func putAt(c *Cache, sn *xseed.Snapshot, id uint64, q string, v EstimateResult, ten *Tenant) *xseed.Plan {
@@ -151,7 +173,7 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	// Publishes race the fills: lookups at the newer versions serve plans.
 	for i := 0; i < 50; i++ {
-		syn.Publish()
+		retune(t, syn)
 	}
 	wg.Wait()
 }
@@ -237,8 +259,7 @@ func TestCacheCostSaved(t *testing.T) {
 	if got := c.Stats().CostSavedNs; got != 1400 {
 		t.Fatalf("costSavedNs = %d, want 1400", got)
 	}
-	syn.Publish()
-	newer := syn.Snapshot()
+	newer := retune(t, syn)
 	got, planNs, _, ok := c.Get(k, newer, nil)
 	if ok || got != p || planNs != 200 {
 		t.Fatalf("lookup at a newer version = %v %d %v, want the plan, its compile cost 200 and no estimate", got, planNs, ok)
@@ -270,8 +291,7 @@ func TestCacheRecreatedEntryKeepsCompileCost(t *testing.T) {
 	keys := sameShardKeys(c, 1, 2)
 	k := cacheKey{id: 1, query: keys[0]}
 	c.Put(k, sn.Compile(xseed.MustParseQuery("/a/b")), 200, EstimateResult{Est: 7, CostNs: 100}, sn.Version(), nil)
-	syn.Publish()
-	newer := syn.Snapshot()
+	newer := retune(t, syn)
 	pl, planNs, _, _ := c.Get(k, newer, nil)
 	putAt(c, newer, 1, keys[1], EstimateResult{Est: 1}, nil) // evicts k
 	if _, ok := getAt(c, newer, 1, keys[0], nil); ok {
@@ -315,8 +335,7 @@ func TestCacheNewerVersionServesPlanOnly(t *testing.T) {
 	syn, sn := fixtureSnapshot(t)
 	c := NewCache(64)
 	p := putAt(c, sn, 1, "/a/c/s", EstimateResult{Est: 5}, nil)
-	syn.Publish()
-	newer := syn.Snapshot()
+	newer := retune(t, syn)
 	before := c.Stats()
 	got, _, v, ok := c.Get(cacheKey{id: 1, query: "/a/c/s"}, newer, nil)
 	if ok || got != p || v != (EstimateResult{}) {
@@ -333,8 +352,7 @@ func TestCacheNewerVersionServesPlanOnly(t *testing.T) {
 // replace the newer estimate.
 func TestCacheOlderFillKeepsNewerEstimate(t *testing.T) {
 	syn, older := fixtureSnapshot(t)
-	syn.Publish()
-	newer := syn.Snapshot()
+	newer := retune(t, syn)
 	c := NewCache(64)
 	putAt(c, newer, 1, "/a/c/s", EstimateResult{Est: 2}, nil)
 	putAt(c, older, 1, "/a/c/s", EstimateResult{Est: 1}, nil)
@@ -377,8 +395,7 @@ func TestCacheOneEntryPerQuery(t *testing.T) {
 	k := cacheKey{id: 1, query: "/a/c/s"}
 	p := putAt(c, sn, 1, k.query, EstimateResult{Est: 5}, nil)
 	for i := 0; i < 3; i++ {
-		syn.Publish()
-		newer := syn.Snapshot()
+		newer := retune(t, syn)
 		pl, planNs, _, _ := c.Get(k, newer, nil)
 		c.Put(k, pl, planNs, EstimateResult{Est: 5}, newer.Version(), nil)
 		if pl != p {

@@ -29,8 +29,11 @@ type regMetrics struct {
 
 	// Publish-coalescing counters: fbApplied counts feedback events that
 	// mutated an HET; fbPublishes counts the successor snapshots those
-	// mutations published. applied/publishes is the coalescing factor the
-	// batched write path buys (1.0 = every event paid its own publication).
+	// mutations published — a drain round whose events changed no value an
+	// estimate reads keeps the current snapshot and counts none.
+	// applied/publishes is the coalescing factor the batched write path
+	// and those kept snapshots buy (1.0 = every event paid its own
+	// publication).
 	fbApplied   *obs.Counter // xseed_feedback_applied_total
 	fbPublishes *obs.Counter // xseed_feedback_publishes_total
 }

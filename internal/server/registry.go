@@ -102,11 +102,12 @@ type Entry struct {
 	// Feedback coalescing: concurrent feedback ops enqueue onto fbQueue and
 	// the first arriver (fbActive's winner) becomes the publisher — it
 	// drains the queue under mu, applies every delta with publication
-	// deferred, and publishes ONE successor snapshot per drain round, so a
-	// feedback storm pays the O(resident) view copy once per round instead
-	// of once per event. fbMu guards only the queue and is never held while
-	// applying. Log order still equals apply order: the publisher appends
-	// each delta inside the same mu critical section that applied it.
+	// deferred, and publishes at most ONE successor snapshot per drain
+	// round (none when the round changed nothing an estimate reads), so a
+	// feedback storm pays one publication per round instead of one per
+	// event. fbMu guards only the queue and is never held while applying.
+	// Log order still equals apply order: the publisher appends each delta
+	// inside the same mu critical section that applied it.
 	fbMu     sync.Mutex
 	fbQueue  []*fbOp
 	fbActive bool
@@ -1130,7 +1131,8 @@ func (r *Registry) runFeedback(e *Entry, st *store.Store, ops []*fbOp) {
 // entry lock it repeatedly takes the whole queue, applies every delta with
 // publication deferred, enqueues each applied delta's log record inside the
 // same critical section (log order = apply order — replicated standbys
-// depend on it), and publishes one successor snapshot per round.
+// depend on it), and publishes at most one successor snapshot per round:
+// none when the round only confirmed values the snapshot already answers.
 func (r *Registry) drainFeedback(e *Entry, st *store.Store) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1164,9 +1166,12 @@ func (r *Registry) drainFeedback(e *Entry, st *store.Store) {
 			}
 		}
 		if applied > 0 {
+			before := e.syn.Snapshot()
 			e.syn.Publish()
 			r.obs.fbApplied.Add(uint64(applied))
-			r.obs.fbPublishes.Inc()
+			if e.syn.Snapshot() != before {
+				r.obs.fbPublishes.Inc()
+			}
 		}
 		for _, op := range batch {
 			close(op.done)

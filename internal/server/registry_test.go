@@ -276,6 +276,10 @@ func TestRegistryKernelOnlyFeedbackKeepsCacheWarm(t *testing.T) {
 	}
 }
 
+// TestRegistryFeedbackInvalidatesAndTunes: feedback that changes an
+// estimate retires the cached one and tunes the synopsis to the value fed
+// back; feeding the same value back again changes nothing an estimate
+// reads, so the next estimate is a cache hit.
 func TestRegistryFeedbackInvalidatesAndTunes(t *testing.T) {
 	doc, syn := buildFixtureSynopsis(t, nil)
 	r := NewRegistry(0, 0)
@@ -283,14 +287,17 @@ func TestRegistryFeedbackInvalidatesAndTunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "/a/c/s/s/t"
-	actual, err := doc.Count(q)
+	count, err := doc.Count(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Pre-computation already stored the exact count; feed back another
+	// one, as after the document changed.
+	actual := float64(count + 3)
 	if _, err := r.Estimate(context.Background(), "fig2", q, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Feedback("fig2", q, float64(actual)); err != nil {
+	if err := r.Feedback("fig2", q, actual); err != nil {
 		t.Fatal(err)
 	}
 	after, err := r.Estimate(context.Background(), "fig2", q, false)
@@ -300,12 +307,22 @@ func TestRegistryFeedbackInvalidatesAndTunes(t *testing.T) {
 	if after.Cached {
 		t.Fatal("estimate after feedback served stale cache entry")
 	}
-	if after.Estimate != float64(actual) {
-		t.Fatalf("post-feedback estimate = %v, want exact actual %d", after.Estimate, actual)
+	if after.Estimate != actual {
+		t.Fatalf("post-feedback estimate = %v, want exact actual %v", after.Estimate, actual)
 	}
 	e, _ := r.Get("fig2")
 	if n := e.Info().Accuracy.N; n != 1 {
 		t.Fatalf("accuracy N = %d, want 1", n)
+	}
+	if err := r.Feedback("fig2", q, actual); err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.Estimate(context.Background(), "fig2", q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.Estimate != actual {
+		t.Fatalf("estimate after confirming feedback = %+v, want the cached %v", again, actual)
 	}
 }
 

@@ -267,27 +267,34 @@ func TestHTTPFeedbackAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "/a/c/s/s/t"
-	actual, err := doc.Count(q)
+	count, err := doc.Count(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Warm the cache, then feed back the true cardinality.
-	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", api.EstimateRequest{Query: q}, nil)
-	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", api.EstimateRequest{Query: q}, nil)
-	resp := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/feedback",
-		api.FeedbackRequest{Query: q, Actual: float64(actual)}, nil)
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("feedback: status %d", resp.StatusCode)
+	// Pre-computation already stored the exact count; feed back another
+	// one, as after the document changed.
+	actual := float64(count + 3)
+	feedback := func() {
+		t.Helper()
+		resp := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/feedback",
+			api.FeedbackRequest{Query: q, Actual: actual}, nil)
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("feedback: status %d", resp.StatusCode)
+		}
 	}
+
+	// Warm the cache, then feed back a cardinality that changes the estimate.
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", api.EstimateRequest{Query: q}, nil)
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", api.EstimateRequest{Query: q}, nil)
+	feedback()
 
 	var after api.EstimateResponse
 	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", api.EstimateRequest{Query: q}, &after)
 	if after.Results[0].Cached {
 		t.Fatal("feedback did not invalidate the cache")
 	}
-	if after.Results[0].Estimate != float64(actual) {
-		t.Fatalf("post-feedback estimate = %v, want %d", after.Results[0].Estimate, actual)
+	if after.Results[0].Estimate != actual {
+		t.Fatalf("post-feedback estimate = %v, want %v", after.Results[0].Estimate, actual)
 	}
 
 	var st api.Stats
@@ -304,6 +311,15 @@ func TestHTTPFeedbackAndStats(t *testing.T) {
 	}
 	if st.TotalBytes < in.KernelBytes {
 		t.Fatalf("total bytes %d < kernel %d", st.TotalBytes, in.KernelBytes)
+	}
+
+	// The same value again changes nothing an estimate reads: the cached
+	// estimate stays valid.
+	feedback()
+	var again api.EstimateResponse
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", api.EstimateRequest{Query: q}, &again)
+	if !again.Results[0].Cached || again.Results[0].Estimate != actual {
+		t.Fatalf("estimate after confirming feedback = %+v, want the cached %v", again.Results[0], actual)
 	}
 }
 

@@ -70,11 +70,13 @@ func Default1BP() *HETConfig { return &HETConfig{MBP: 1} }
 // hyper-edge lookup view) published through an atomic pointer, so a reader
 // never blocks on a writer and never observes a half-applied mutation.
 // Mutating calls — Feedback, ApplyHETDelta, AddSubtree, RemoveSubtree,
-// SetBudget — build and publish a successor snapshot before returning; they
-// are not safe to run concurrently with EACH OTHER and must be serialized
-// externally (e.g. a plain Mutex, or the per-entry write lock
-// xseed/internal/server holds), but estimates in flight during a mutation
-// simply keep reading the snapshot they pinned.
+// SetBudget — build and publish a successor snapshot before returning, or
+// keep the current one when they changed nothing an estimate reads (a
+// feedback confirming a card the table already holds, a budget change that
+// keeps the resident entry count); they are not safe to run concurrently
+// with EACH OTHER and must be serialized externally (e.g. a plain Mutex, or
+// the per-entry write lock xseed/internal/server holds), but estimates in
+// flight during a mutation simply keep reading the snapshot they pinned.
 //
 // Consistency: an estimate reflects some published snapshot — the one
 // current when the caller pinned it. After Feedback returns, the next
@@ -100,7 +102,8 @@ type Synopsis struct {
 
 	// snap is the current estimation snapshot. Mutators replace the kernel
 	// copy-on-write (subtree updates) or mutate the HET table in place and
-	// then publish a successor wrapping a fresh het.View; the expanded path
+	// then publish: a successor wrapping the table's next het.View, or
+	// nothing when no value an estimate reads changed. The expanded path
 	// tree inside each snapshot builds lazily under a singleflight, so a
 	// feedback storm pays one EPT construction per *estimated* version, not
 	// per mutation.
@@ -109,6 +112,11 @@ type Synopsis struct {
 	// replaying suspends snapshot publication and kernel copy-on-write
 	// inside Replay — recovery-only, see Replay.
 	replaying bool
+
+	// kernMutated is set by Replay, which may change the kernel in place
+	// behind the pointer the current snapshot holds: the next publication
+	// must not keep that snapshot.
+	kernMutated bool
 }
 
 // Replay runs fn — a single-threaded burst of mutations, such as a
@@ -126,35 +134,45 @@ func (s *Synopsis) Replay(fn func() error) error {
 	s.replaying = true
 	err := fn()
 	s.replaying = false
+	s.kernMutated = true
 	s.publish()
 	return err
 }
 
 // publish installs a new estimation snapshot reflecting the current kernel
-// and hyper-edge table. Callers are the construction paths and the
+// and hyper-edge table, or keeps the current one — same version, same built
+// EPT, every cached estimate still valid — when nothing an estimate reads
+// changed: the same kernel and dictionary, and options holding the same
+// hyper-edge view, which het.Table.View returns exactly when no resident
+// lookup answer changed. Callers are the construction paths and the
 // externally-serialized mutators, so at most one publish runs at a time;
-// version numbers therefore increase by exactly one per mutation.
+// version numbers therefore increase by exactly one per estimate-affecting
+// mutation.
 func (s *Synopsis) publish() *Snapshot {
+	old := s.snap.Load()
 	if s.replaying {
-		return s.snap.Load()
-	}
-	ver := uint64(1)
-	if old := s.snap.Load(); old != nil {
-		ver = old.ver + 1
+		return old
 	}
 	opt := s.opt
 	opt.HET = nil
 	if s.tab != nil {
 		opt.HET = s.tab.View()
 	}
+	// Kernel pointer unchanged and no labels interned since (feedback,
+	// budget change): the frozen dictionary and label hashes are still
+	// authoritative. The length check matters after Replay, which mutates
+	// the kernel in place: same pointer, possibly new labels.
+	sameDict := old != nil && old.es.Kernel() == s.kern && old.es.Dict().Len() == s.kern.Dict().Len()
+	if sameDict && !s.kernMutated && old.es.Options() == opt {
+		return old
+	}
+	s.kernMutated = false
+	ver := uint64(1)
+	if old != nil {
+		ver = old.ver + 1
+	}
 	var es *estimate.Snapshot
-	if old := s.snap.Load(); old != nil && old.es.Kernel() == s.kern &&
-		old.es.Dict().Len() == s.kern.Dict().Len() {
-		// Kernel untouched and no labels interned since (feedback, budget
-		// change): the frozen dictionary and label hashes are still
-		// authoritative — skip re-cloning them. The length check matters
-		// after Replay, which mutates the kernel in place: same pointer,
-		// possibly new labels.
+	if sameDict {
 		es = old.es.WithOptions(opt)
 	} else {
 		es = estimate.NewSnapshot(s.kern, s.kern.Dict().Clone(), opt)
@@ -326,7 +344,9 @@ type HETDelta struct {
 
 // FeedbackQueryDelta is FeedbackQuery exposing the HET mutation it caused.
 // applied is false when the synopsis has no HET or the query shape is one
-// the HET ignores (nothing changed; cached estimates stay valid).
+// the HET ignores (nothing changed; cached estimates stay valid). Applied
+// feedback that changes no value an estimate reads, such as a card the
+// table already holds, keeps the current snapshot too.
 func (s *Synopsis) FeedbackQueryDelta(q *Query, actual float64) (estBefore float64, delta HETDelta, applied bool) {
 	estBefore, delta, applied = s.FeedbackQueryDeltaDeferred(q, actual)
 	if applied {
@@ -338,9 +358,9 @@ func (s *Synopsis) FeedbackQueryDelta(q *Query, actual float64) (estBefore float
 // FeedbackQueryDeltaDeferred is FeedbackQueryDelta without the snapshot
 // publication: the HET mutates but readers keep estimating against the
 // previous snapshot until the caller invokes Publish. It exists for batched
-// feedback — applying N deltas and publishing once amortizes the
-// O(resident) view copy each publication pays — and shares FeedbackQuery's
-// external-serialization contract for mutators.
+// feedback — applying N deltas and publishing once pays one view
+// derivation, one snapshot and one EPT rebuild for the batch — and shares
+// FeedbackQuery's external-serialization contract for mutators.
 func (s *Synopsis) FeedbackQueryDeltaDeferred(q *Query, actual float64) (estBefore float64, delta HETDelta, applied bool) {
 	if s.tab == nil {
 		return 0, HETDelta{}, false
@@ -368,8 +388,9 @@ func (s *Synopsis) FeedbackQueryDeltaDeferred(q *Query, actual float64) (estBefo
 }
 
 // Publish installs one successor snapshot covering every deferred mutation
-// applied since the last publication (see FeedbackQueryDeltaDeferred). Like
-// all mutators it must be externally serialized.
+// applied since the last publication (see FeedbackQueryDeltaDeferred), or
+// none when those mutations changed nothing an estimate reads. Like all
+// mutators it must be externally serialized.
 func (s *Synopsis) Publish() { s.publish() }
 
 // ApplyHETDelta re-applies a recorded feedback delta (log replay during

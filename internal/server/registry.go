@@ -870,72 +870,194 @@ const minParallelMisses = 8
 // error detail — not as a batch error (partial-success semantics,
 // documented in xseed/api). Cancelling ctx aborts the batch between
 // per-query estimates and fails the whole call with the context's error.
+//
+// It is two phases back to back: probeBatch answers the batch up to its
+// first cache miss, and finishBatch does the rest. The xtp reader runs the
+// same two phases apart, and finishes on a goroutine of its own only a
+// batch the probe could not answer.
 func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []string, streaming bool) ([]api.EstimateItem, error) {
+	var b estBatch
+	if err := r.probeBatch(ctx, &b, name, queries, streaming); err != nil {
+		return nil, err
+	}
+	return r.finishBatch(ctx, &b)
+}
+
+// estBatch is one estimate batch between its probe and its finish: the
+// entry and snapshot it pinned, its items, and where the probe stopped.
+// Callers declare one and pass its address, so that a batch the probe
+// answers whole costs no allocation or copy beyond its items.
+type estBatch struct {
+	e       *Entry
+	sn      *xseed.Snapshot
+	queries []string
+	stream  bool
+	items   []api.EstimateItem
+
+	// next is the probe's first miss, len(queries) when the probe answered
+	// every query. plan and planNs are that miss's probe result: the plan
+	// the cache holds for it (nil: none) and what it cost to parse and
+	// compile.
+	next   int
+	plan   *xseed.Plan
+	planNs int64
+
+	// first maps each distinct query reached to its first copy, in a
+	// batch of more than len(hitCost) queries. A smaller batch scans its
+	// earlier queries instead and keeps only what each first copy's hit
+	// saved, by position, so it finds its repeats without allocating.
+	first   map[string]seen
+	hitCost [8]int64
+
+	dups    [][2]int // (item, first item) pairs, copied once the batch is final
+	repeats int      // dups of cached items, with the cost they saved
+	saved   int64
+}
+
+// answered reports whether the probe answered every query, so the items
+// are final.
+func (b *estBatch) answered() bool { return b.next == len(b.queries) }
+
+// seen is the first copy of one of a batch's queries.
+type seen struct {
+	i     int   // its item position
+	saved int64 // the cost its cache hit saved (0: not a hit)
+}
+
+// firstCopy returns the first copy of queries[i] among the queries before
+// it, which the batch has all reached.
+func (b *estBatch) firstCopy(i int) (seen, bool) {
+	if b.first != nil {
+		f, ok := b.first[b.queries[i]]
+		return f, ok
+	}
+	for j, q := range b.queries[:i] {
+		if q == b.queries[i] {
+			return seen{i: j, saved: b.hitCost[j]}, true
+		}
+	}
+	return seen{}, false
+}
+
+// probeBatch is EstimateBatch's first phase, into b, which must be zero:
+// it looks the entry up, pins its estimation snapshot, and probes the
+// cache once per distinct query in order, answering each hit, up to the
+// first miss. It parses nothing and runs no plan, so it costs one cache
+// probe per query it reaches. When it reaches the end the items are
+// final, repeats copied, and finishBatch returns them as they are.
+func (r *Registry) probeBatch(ctx context.Context, b *estBatch, name string, queries []string, streaming bool) error {
 	e, err := r.Get(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	sn := e.syn.Snapshot()
-	items := make([]api.EstimateItem, len(queries))
-	type miss struct {
-		plan   *xseed.Plan
-		q      *xseed.Query // the tree just parsed, nil when the cache supplied the plan
-		planNs int64        // parse + compile, as measured or as the cache recorded it
-		i      int          // item position
-	}
-	type seen struct {
-		i     int   // first item position
-		saved int64 // the cost its cache hit saved (0: not a hit)
-	}
-	var (
-		order   []miss          // misses in first-seen order
-		first   map[string]seen // raw query → its first copy
-		dups    [][2]int        // (item, first item) pairs filled last
-		repeats int             // dups of cached items, with the cost they saved
-		saved   int64
-	)
-	if len(queries) > 1 {
-		first = make(map[string]seen, len(queries))
+	b.e, b.sn, b.queries, b.stream = e, e.syn.Snapshot(), queries, streaming
+	b.items = make([]api.EstimateItem, len(queries))
+	if len(queries) > len(b.hitCost) {
+		b.first = make(map[string]seen, len(queries))
 	}
 	// The span accumulates each query's stage nanoseconds and flushes once
 	// per query; it is pooled and nil when instrumentation is disabled, so
 	// this loop allocates nothing for it and, disabled, reads no clocks.
 	sp := e.stages.Span()
 	defer sp.End()
-	for i, raw := range queries {
-		if first != nil {
-			if f, ok := first[raw]; ok {
-				dups = append(dups, [2]int{i, f.i})
-				if items[f.i].Cached {
-					repeats++
-					saved += f.saved
-				}
+	for ; b.next < len(queries); b.next++ {
+		if miss, pl, planNs := r.probe(b, sp, b.next); miss {
+			b.plan, b.planNs = pl, planNs
+			break
+		}
+	}
+	if b.answered() {
+		r.settle(b)
+	}
+	return nil
+}
+
+// probe looks queries[i] up for the batch. A repeat of an earlier query is
+// not probed again: it is recorded, to copy its first copy's item once
+// that is final, and counts as the hit its own probe would have been when
+// the first copy hit. A hit fills the item. A miss reports true, with the
+// plan the cache holds for the query (nil: none) and that plan's parse and
+// compile cost, and leaves the item and sp's flush to the caller.
+func (r *Registry) probe(b *estBatch, sp *obs.Span, i int) (miss bool, pl *xseed.Plan, planNs int64) {
+	if f, ok := b.firstCopy(i); ok {
+		b.dups = append(b.dups, [2]int{i, f.i})
+		if b.items[f.i].Cached {
+			b.repeats++
+			b.saved += f.saved
+		}
+		return false, nil, 0
+	}
+	sp.Reset()
+	pl, planNs, v, hit := r.cache.Get(cacheKey{id: b.e.id, query: b.queries[i], stream: b.stream}, b.sn, b.e.ten)
+	sp.Mark(obs.StageCacheProbe)
+	if b.first != nil { // v is zero unless hit
+		b.first[b.queries[i]] = seen{i: i, saved: v.CostNs}
+	} else {
+		b.hitCost[i] = v.CostNs
+	}
+	if !hit {
+		return true, pl, planNs
+	}
+	b.items[i] = api.EstimateItem{Query: pl.String(), Estimate: v.Est, Streamed: v.Streamed, Cached: true}
+	sp.Flush()
+	return false, nil, 0
+}
+
+// settle completes a batch whose first copies are final. A repeat of a
+// cached item counts as the hit its own probe would have been; a repeat
+// of anything else counts nothing, since it is served by its first copy's
+// computation. Either way it copies its first copy's item.
+func (r *Registry) settle(b *estBatch) {
+	if b.repeats > 0 {
+		r.cache.countRepeatHits(b.repeats, b.saved, b.e.ten)
+	}
+	for _, d := range b.dups {
+		b.items[d[0]] = b.items[d[1]]
+	}
+}
+
+// finishBatch is EstimateBatch's second phase. It continues the probe at
+// its first miss, probing only the queries the probe did not reach;
+// parses and compiles each miss the cache holds no current plan for; runs
+// the misses against the pinned snapshot and fills the cache; and copies
+// each repeat from its first copy. A batch the probe answered comes back
+// as it is.
+func (r *Registry) finishBatch(ctx context.Context, b *estBatch) ([]api.EstimateItem, error) {
+	if b.answered() {
+		return b.items, nil
+	}
+	// The run closure below reads locals, not b: capturing b would move
+	// every caller's batch to the heap.
+	e, sn, items, queries, streaming := b.e, b.sn, b.items, b.queries, b.stream
+	type miss struct {
+		plan   *xseed.Plan
+		q      *xseed.Query // the tree just parsed, nil when the cache supplied the plan
+		planNs int64        // parse + compile, as measured or as the cache recorded it
+		i      int          // item position
+	}
+	var order []miss // misses in first-seen order
+	// A span of its own: the probe's may have ended on another goroutine,
+	// and the time between the two phases belongs to no stage.
+	sp := e.stages.Span()
+	defer sp.End()
+	for i := b.next; i < len(queries); i++ {
+		m := miss{plan: b.plan, planNs: b.planNs, i: i} // the probe's first miss
+		if i > b.next {
+			var isMiss bool
+			if isMiss, m.plan, m.planNs = r.probe(b, sp, i); !isMiss {
 				continue
 			}
 		}
-		sp.Reset()
-		k := cacheKey{id: e.id, query: raw, stream: streaming}
-		pl, planNs, v, hit := r.cache.Get(k, sn, e.ten)
-		sp.Mark(obs.StageCacheProbe)
-		if first != nil {
-			first[raw] = seen{i: i, saved: v.CostNs} // v is zero unless hit
-		}
-		if hit {
-			items[i] = api.EstimateItem{Query: pl.String(), Estimate: v.Est, Streamed: v.Streamed, Cached: true}
-			sp.Flush()
-			continue
-		}
-		m := miss{plan: pl, planNs: planNs, i: i}
-		if pl == nil {
+		if m.plan == nil {
 			start := time.Now()
-			q, err := xseed.ParseQuery(raw)
+			q, err := xseed.ParseQuery(queries[i])
 			sp.Mark(obs.StageParse)
 			if err != nil {
 				sp.Flush()
-				items[i] = api.EstimateItem{Query: raw, Error: api.WrapError(err, api.CodeBadRequest)}
+				items[i] = api.EstimateItem{Query: queries[i], Error: api.WrapError(err, api.CodeBadRequest)}
 				continue
 			}
 			m.plan, m.q = sn.Compile(q), q
@@ -946,18 +1068,7 @@ func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []str
 		order = append(order, m)
 		sp.Flush()
 	}
-	// A repeat of a cached item counts as the hit its own probe would have
-	// been; a repeat of anything else counts nothing, since it is served by
-	// its first copy's computation. Either way it copies its first copy's
-	// item once that item is final.
-	if repeats > 0 {
-		r.cache.countRepeatHits(repeats, saved, e.ten)
-	}
-	defer func() {
-		for _, d := range dups {
-			items[d[0]] = items[d[1]]
-		}
-	}()
+	defer r.settle(b)
 	if len(order) == 0 {
 		return items, nil
 	}

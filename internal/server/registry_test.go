@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"xseed"
+	"xseed/api"
 	"xseed/internal/fixtures"
+	"xseed/internal/obs"
 )
 
 func buildFixtureSynopsis(t testing.TB, cfg *xseed.Config) (*xseed.Document, *xseed.Synopsis) {
@@ -197,6 +199,100 @@ func TestRegistryBatchRepeatsProbeOnce(t *testing.T) {
 	want := 3*costOf("/a/c/s") + costOf("/a/c[t]/s")
 	if st := r.cache.Stats(); st.Hits != 4 || st.PlanHits != 4 || st.CostSavedNs != want {
 		t.Fatalf("warm batch cache stats = %+v, want 4 hits, 4 plan hits, costSavedNs %d", st, want)
+	}
+}
+
+// TestEstimateProbeFinishCountsOnce: a batch probed and then finished
+// apart, as the xtp reader runs it, answers and counts exactly like one
+// EstimateBatch, and each query is looked up once: the finish probes only
+// the queries the probe did not reach.
+func TestEstimateProbeFinishCountsOnce(t *testing.T) {
+	ctx := context.Background()
+	batch := []string{"/a/c/s", "/a/u", "//s//p", "/a/c/s"} // hit, miss, hit, repeat of a hit
+	// counters are (hits, misses, plan hits, plan misses) in the cache and
+	// then (hits, misses) in the tenant's own accounting.
+	type counters [6]int64
+	want := counters{3, 1, 3, 1, 3, 1}
+	run := func(estimate func(r *Registry) ([]api.EstimateItem, error)) ([]api.EstimateItem, counters) {
+		_, syn := buildFixtureSynopsis(t, nil)
+		r := NewRegistry(0, 0)
+		t.Cleanup(r.Close)
+		if _, err := r.Add("fig2", syn, "test"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.EstimateBatch(ctx, "fig2", []string{"/a/c/s", "//s//p"}, false); err != nil {
+			t.Fatal(err)
+		}
+		count := func() counters {
+			st, ten := r.cache.Stats(), r.Tenants().Default()
+			return counters{st.Hits, st.Misses, st.PlanHits, st.PlanMisses, ten.hits.load(), ten.misses.load()}
+		}
+		before := count()
+		items, err := estimate(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := count()
+		for i := range after {
+			after[i] -= before[i]
+		}
+		return items, after
+	}
+	whole, wholeCounts := run(func(r *Registry) ([]api.EstimateItem, error) {
+		return r.EstimateBatch(ctx, "fig2", batch, false)
+	})
+	split, splitCounts := run(func(r *Registry) ([]api.EstimateItem, error) {
+		var b estBatch
+		if err := r.probeBatch(ctx, &b, "fig2", batch, false); err != nil {
+			return nil, err
+		}
+		if b.answered() || b.next != 1 {
+			t.Fatalf("probe stopped at %d (answered %v), want at the miss, 1", b.next, b.answered())
+		}
+		return r.finishBatch(ctx, &b)
+	})
+	for i := range whole {
+		if split[i] != whole[i] {
+			t.Errorf("item %d = %+v, want %+v", i, split[i], whole[i])
+		}
+	}
+	if wholeCounts != want || splitCounts != want {
+		t.Fatalf("counters moved by %v in one call and %v probed and finished apart, want %v "+
+			"(cache hits, misses, plan hits, plan misses, tenant hits, tenant misses)", wholeCounts, splitCounts, want)
+	}
+}
+
+// TestEstimateHitAllocs is the hit path's allocation budget: a batch the
+// cache answers whole allocates its items, plus the list of its repeats
+// when it has any, and nothing for the batch between its probe and its
+// finish.
+func TestEstimateHitAllocs(t *testing.T) {
+	_, syn := buildFixtureSynopsis(t, nil)
+	r := NewRegistryObs(0, 0, obs.NewRegistry()) // stage spans on, as in xseedd
+	defer r.Close()
+	if _, err := r.Add("fig2", syn, "test"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		queries []string
+		max     float64
+	}{
+		{[]string{"/a/c/s"}, 1},
+		{[]string{"/a/c/s", "//s//p", "/a/c/s", "/a/u"}, 2},
+	} {
+		if _, err := r.EstimateBatch(ctx, "fig2", tc.queries, false); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(200, func() {
+			items, err := r.EstimateBatch(ctx, "fig2", tc.queries, false)
+			if err != nil || !items[len(items)-1].Cached {
+				t.Fatalf("warm batch = %+v, %v", items, err)
+			}
+		})
+		if n > tc.max {
+			t.Errorf("cached batch of %d allocates %v objects, want at most %v", len(tc.queries), n, tc.max)
+		}
 	}
 }
 

@@ -696,7 +696,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if req.Query != "" {
 		queries = append([]string{req.Query}, queries...)
 	}
-	items, aerr := s.svc.estimate(r.Context(), s.tenant(r), r.PathValue("name"), queries, req.Streaming)
+	var b estBatch
+	aerr := s.svc.estimate(r.Context(), &b, s.tenant(r), r.PathValue("name"), queries, req.Streaming)
+	var items []api.EstimateItem
+	if aerr == nil {
+		items, aerr = s.svc.finishEstimate(r.Context(), &b)
+	}
 	if aerr != nil {
 		writeAPIError(w, r, aerr)
 		return

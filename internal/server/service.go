@@ -40,18 +40,31 @@ func (s *service) admit(t *Tenant, name string, cost int) (string, *api.Error) {
 	return key, nil
 }
 
-// estimate answers one batch estimate against name, charged as one
-// request: one item per query, in request order, each an estimate or a
-// per-query error.
-func (s *service) estimate(ctx context.Context, t *Tenant, name string, queries []string, streaming bool) ([]api.EstimateItem, *api.Error) {
+// estimate admits one batch estimate against name, charged as one
+// request, and probes the cache for it into b (Registry.probeBatch). The
+// batch is answered when the cache held every query; otherwise the caller
+// completes it with finishEstimate — HTTP at once, on its handler
+// goroutine; xtp on a goroutine dispatched for it, so that the reader
+// never parses or runs a plan.
+func (s *service) estimate(ctx context.Context, b *estBatch, t *Tenant, name string, queries []string, streaming bool) *api.Error {
 	if len(queries) == 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "missing query or queries")
+		return api.Errorf(api.CodeBadRequest, "missing query or queries")
 	}
 	key, aerr := s.admit(t, name, 1)
 	if aerr != nil {
-		return nil, aerr
+		return aerr
 	}
-	items, err := s.reg.EstimateBatch(ctx, key, queries, streaming)
+	if err := s.reg.probeBatch(ctx, b, key, queries, streaming); err != nil {
+		return toAPIError(err)
+	}
+	return nil
+}
+
+// finishEstimate completes a batch estimate admitted and probed by
+// estimate: one item per query, in request order, each an estimate or a
+// per-query error.
+func (s *service) finishEstimate(ctx context.Context, b *estBatch) ([]api.EstimateItem, *api.Error) {
+	items, err := s.reg.finishBatch(ctx, b)
 	if err != nil {
 		return nil, toAPIError(err)
 	}

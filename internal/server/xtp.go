@@ -82,8 +82,11 @@ func newXTP(svc *service, opts XTPOptions) *XTP {
 }
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
-// or a listener error. Each connection gets its own handler goroutine;
-// requests within a connection dispatch concurrently.
+// or a listener error. Each connection gets its own reader goroutine. The
+// reader answers what costs no more than reading it — Ping, RingReq, a
+// refused request, an estimate the cache answers whole — and dispatches
+// every other request to a goroutine of its own, so a connection's slow
+// requests run concurrently and never hold up the ones behind them.
 func (x *XTP) Serve(ln net.Listener) error {
 	x.mu.Lock()
 	if x.closed {
@@ -154,14 +157,15 @@ func (x *XTP) Shutdown(ctx context.Context) error {
 }
 
 // xtpConn is one accepted connection: a frame reader loop plus a mutex-
-// serialized frame writer shared by every in-flight request handler.
+// serialized frame writer shared by the reader and every dispatched
+// request handler.
 type xtpConn struct {
 	c net.Conn
 	x *XTP
 
 	// ten is the tenant this connection is bound to: the default until an
 	// AuthReq rebinds it. Written and read only on the reader goroutine;
-	// dispatched handlers receive the value as an argument, so a later
+	// dispatched handlers capture the value request read there, so a later
 	// AuthReq never races an in-flight request.
 	ten *Tenant
 
@@ -229,10 +233,16 @@ func (x *XTP) handleConn(c net.Conn) {
 	cn.inflight.Wait()
 }
 
-// readLoop decodes and dispatches frames until the stream ends or breaks
-// protocol. Request bodies are decoded here, on the reader goroutine —
-// Frame.Payload aliases the reader's scratch buffer, so handlers receive
-// decoded values, never the raw frame.
+// readLoop decodes frames until the stream ends or breaks protocol, and
+// answers or dispatches each. Request bodies are decoded here, on the
+// reader goroutine — Frame.Payload aliases the reader's scratch buffer, so
+// handlers receive decoded values, never the raw frame. The reader writes
+// an answer itself only when it costs about what decoding the frame did:
+// Pong, RingResp, AuthResp, a refused estimate's Error, and an estimate
+// the cache answered whole (see estimate). A request that may parse, run a
+// plan, or wait for an fsync is dispatched. While the reader writes, it
+// reads nothing, so a peer that stops reading its responses stops the
+// server reading its requests (docs/PROTOCOL.md §5).
 func (cn *xtpConn) readLoop() {
 	x := cn.x
 	r := wire.NewReader(cn.c)
@@ -248,6 +258,15 @@ func (cn *xtpConn) readLoop() {
 		}
 		x.m.frameIn(f.Type, r.BytesRead()-lastBytes)
 		lastBytes = r.BytesRead()
+		switch f.Type {
+		case wire.FramePing, wire.FrameStatsReq, wire.FrameRingReq:
+			// A payload on a bodyless request means the stream is out of
+			// sync (docs/PROTOCOL.md §3).
+			if err := wire.DecodeEmpty(f.Payload); err != nil {
+				cn.protocolError(f.Corr, err)
+				return
+			}
+		}
 		switch f.Type {
 		case wire.FramePing:
 			cn.write(wire.FramePong, f.Corr, nil)
@@ -276,21 +295,15 @@ func (cn *xtpConn) readLoop() {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			cn.dispatch(f.Corr, x.m.estimateSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
-				items, aerr := x.svc.estimate(x.baseCtx, t, name, queries, streaming)
-				if aerr != nil {
-					return 0, aerr
-				}
-				*buf = wire.AppendEstimateResp(*buf, items)
-				return wire.FrameEstimateResp, nil
-			})
+			cn.estimate(f.Corr, name, queries, streaming)
 		case wire.FrameFeedbackReq:
 			name, query, actual, err := wire.DecodeFeedbackReq(f.Payload)
 			if err != nil {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			cn.dispatch(f.Corr, x.m.feedbackSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
+			t, start := cn.request()
+			cn.dispatch(f.Corr, start, x.m.feedbackSeconds, func(buf *[]byte) (wire.FrameType, *api.Error) {
 				outcome, aerr := x.svc.feedback(t, name, query, actual)
 				if aerr != nil {
 					return 0, aerr
@@ -307,7 +320,8 @@ func (cn *xtpConn) readLoop() {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			cn.dispatch(f.Corr, x.m.feedbackSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
+			t, start := cn.request()
+			cn.dispatch(f.Corr, start, x.m.feedbackSeconds, func(buf *[]byte) (wire.FrameType, *api.Error) {
 				errs, aerr := x.svc.feedbackBatch(t, name, items)
 				if aerr != nil {
 					return 0, aerr
@@ -316,7 +330,8 @@ func (cn *xtpConn) readLoop() {
 				return wire.FrameFeedbackBatchAck, nil
 			})
 		case wire.FrameStatsReq:
-			cn.dispatch(f.Corr, x.m.statsSeconds, func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error) {
+			t, start := cn.request()
+			cn.dispatch(f.Corr, start, x.m.statsSeconds, func(buf *[]byte) (wire.FrameType, *api.Error) {
 				// Stats is a cold path; its deeply nested payload rides as
 				// JSON (normatively specified — see PROTOCOL.md §4.6).
 				data, err := json.Marshal(x.svc.reg.StatsFor(t))
@@ -327,10 +342,6 @@ func (cn *xtpConn) readLoop() {
 				return wire.FrameStatsResp, nil
 			})
 		case wire.FrameRingReq:
-			if len(f.Payload) != 0 {
-				cn.protocolError(f.Corr, fmt.Errorf("RingReq carries no payload"))
-				return
-			}
 			if data, aerr := x.svc.ring(); aerr != nil {
 				cn.writeError(f.Corr, aerr)
 			} else {
@@ -345,27 +356,71 @@ func (cn *xtpConn) readLoop() {
 	}
 }
 
-// dispatch counts one request against the connection's tenant and runs
-// call on its own goroutine, so the reader keeps decoding frames while the
-// service works. call encodes its response into the pooled buffer and
-// names the frame type; an *api.Error from it fails the request whole with
-// an Error frame instead. The kind's latency lands on h.
-func (cn *xtpConn) dispatch(corr uint64, h *obs.Histogram, call func(t *Tenant, buf *[]byte) (wire.FrameType, *api.Error)) {
-	t := cn.ten // read here, on the reader goroutine (see xtpConn.ten)
+// request starts one request on the reader goroutine, right after its
+// decode: it reads the connection's tenant (see xtpConn.ten), counts the
+// request against it, and starts the request's clock.
+func (cn *xtpConn) request() (*Tenant, time.Time) {
+	t := cn.ten
 	t.reqs.Inc()
+	return t, time.Now()
+}
+
+// estimate serves one EstimateReq. Admission and the cache probe run here,
+// on the reader; the probe stops at the batch's first miss, so the reader
+// spends at most one cache probe per query it decoded. A refused request
+// and a batch the cache answered whole are written from here, so a cache
+// hit starts no goroutine. A batch with a miss is dispatched to finish on
+// its own goroutine, so a slow estimate never holds up a fast one behind
+// it.
+func (cn *xtpConn) estimate(corr uint64, name string, queries []string, streaming bool) {
+	x := cn.x
+	t, start := cn.request()
+	var b estBatch
+	aerr := x.svc.estimate(x.baseCtx, &b, t, name, queries, streaming)
+	if aerr == nil && !b.answered() {
+		pending := b // a copy, so that only a dispatched batch moves to the heap
+		cn.dispatch(corr, start, x.m.estimateSeconds, func(buf *[]byte) (wire.FrameType, *api.Error) {
+			items, aerr := x.svc.finishEstimate(x.baseCtx, &pending)
+			if aerr != nil {
+				return 0, aerr
+			}
+			*buf = wire.AppendEstimateResp(*buf, items)
+			return wire.FrameEstimateResp, nil
+		})
+		return
+	}
+	cn.serve(corr, start, x.m.estimateSeconds, func(buf *[]byte) (wire.FrameType, *api.Error) {
+		if aerr != nil {
+			return 0, aerr
+		}
+		*buf = wire.AppendEstimateResp(*buf, b.items)
+		return wire.FrameEstimateResp, nil
+	})
+}
+
+// dispatch runs serve on a goroutine of its own, so the reader keeps
+// decoding frames while the service works.
+func (cn *xtpConn) dispatch(corr uint64, start time.Time, h *obs.Histogram, call func(buf *[]byte) (wire.FrameType, *api.Error)) {
 	cn.inflight.Add(1)
 	go func() {
 		defer cn.inflight.Done()
-		start := time.Now()
-		buf := wire.GetBuf()
-		if ft, aerr := call(t, buf); aerr != nil {
-			cn.writeError(corr, aerr)
-		} else {
-			cn.write(ft, corr, *buf)
-		}
-		wire.PutBuf(buf)
-		cn.x.m.observe(h, start)
+		cn.serve(corr, start, h, call)
 	}()
+}
+
+// serve answers one request. call encodes the response into the pooled
+// buffer and names its frame type; an *api.Error from it fails the request
+// whole with an Error frame instead. The request's latency, from start to
+// its response write, lands on h.
+func (cn *xtpConn) serve(corr uint64, start time.Time, h *obs.Histogram, call func(buf *[]byte) (wire.FrameType, *api.Error)) {
+	buf := wire.GetBuf()
+	if ft, aerr := call(buf); aerr != nil {
+		cn.writeError(corr, aerr)
+	} else {
+		cn.write(ft, corr, *buf)
+	}
+	wire.PutBuf(buf)
+	cn.x.m.observe(h, start)
 }
 
 // write sends one frame, serializing against concurrent handlers. Write

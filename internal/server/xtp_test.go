@@ -1,18 +1,23 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xseed"
 	"xseed/api"
+	"xseed/client"
 	"xseed/internal/fixtures"
 	"xseed/internal/obs"
 	"xseed/internal/wire"
@@ -383,4 +388,249 @@ func TestXTPMetricsFamilies(t *testing.T) {
 	for _, want := range missing {
 		t.Errorf("metrics missing %q", want)
 	}
+}
+
+// TestXTPBodylessRequestWithPayload: Ping, StatsReq and RingReq carry no
+// payload, so one that does means the stream lost framing sync: the server
+// answers bad_request and closes the connection (docs/PROTOCOL.md §3).
+func TestXTPBodylessRequestWithPayload(t *testing.T) {
+	_, addr := startXTP(t, nil)
+	for _, ft := range []wire.FrameType{wire.FramePing, wire.FrameStatsReq, wire.FrameRingReq} {
+		t.Run(ft.String(), func(t *testing.T) {
+			_, r, w := dialRaw(t, addr)
+			if err := w.WriteFrame(ft, 3, []byte("abc")); err != nil {
+				t.Fatal(err)
+			}
+			f, err := r.ReadFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Type != wire.FrameError || f.Corr != 3 {
+				t.Fatalf("frame = %s corr %d, want Error corr 3", f.Type, f.Corr)
+			}
+			if ae, err := wire.DecodeError(f.Payload); err != nil || ae.Code != api.CodeBadRequest {
+				t.Fatalf("error = %+v, %v, want bad_request", ae, err)
+			}
+			if _, err := r.ReadFrame(); !errors.Is(err, io.EOF) {
+				t.Fatalf("read after the error = %v, want EOF", err)
+			}
+		})
+	}
+}
+
+// TestXTPCachedEstimateOvertakesSlowBatch: the reader answers an estimate
+// the cache holds whole and dispatches one with a miss, so a cached
+// estimate sent behind a slow uncached batch on the same connection comes
+// back first. The reader's probe stops at the slow batch's first miss and
+// the dispatched finish probes only the rest, so the exchange counts one
+// cache lookup per query: one hit, 4,000 misses.
+func TestXTPCachedEstimateOvertakesSlowBatch(t *testing.T) {
+	reg, addr := startXTP(t, nil)
+	_, r, w := dialRaw(t, addr)
+	if _, err := reg.Estimate(context.Background(), "fig2", "/a/c/s", false); err != nil {
+		t.Fatal(err)
+	}
+	slow := make([]string, 4000)
+	for i := range slow {
+		slow[i] = fmt.Sprintf("/a/c[s/t][p]/s[%d]//t", i+1)
+	}
+	before := reg.cache.Stats()
+	start := time.Now()
+	if err := w.WriteFrame(wire.FrameEstimateReq, 1, wire.AppendEstimateReq(nil, "fig2", slow, false)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Millisecond)
+	if err := w.WriteFrame(wire.FrameEstimateReq, 2, wire.AppendEstimateReq(nil, "fig2", []string{"/a/c/s"}, false)); err != nil {
+		t.Fatal(err)
+	}
+	var order []uint64
+	for len(order) < 2 {
+		f, err := r.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != wire.FrameEstimateResp {
+			t.Fatalf("frame %s corr %d, want EstimateResp", f.Type, f.Corr)
+		}
+		items, err := wire.DecodeEstimateResp(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch f.Corr {
+		case 1:
+			if len(items) != len(slow) || items[0].Cached || items[0].Error != nil {
+				t.Fatalf("slow batch answered %d items, first %+v", len(items), items[0])
+			}
+		case 2:
+			if len(items) != 1 || !items[0].Cached {
+				t.Fatalf("cached estimate answered %+v", items)
+			}
+		}
+		t.Logf("corr %d answered %v after the first write", f.Corr, time.Since(start))
+		order = append(order, f.Corr)
+	}
+	if order[0] != 2 {
+		t.Fatal("the cached estimate waited behind the slow batch sent before it")
+	}
+	after := reg.cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != int64(len(slow)) {
+		t.Fatalf("cache counted %d hits and %d misses, want 1 and %d: one probe per query", hits, misses, len(slow))
+	}
+}
+
+// TestXTPCachedFrameMatchesRegistry: the reader's answer to a frame the
+// cache answers whole, repeats included, is the bytes the registry's own
+// answer to the same queries encodes to.
+func TestXTPCachedFrameMatchesRegistry(t *testing.T) {
+	reg, addr := startXTP(t, nil)
+	_, r, w := dialRaw(t, addr)
+	queries := []string{"/a/c/s", "//s//p", "/a/c/s", "/a/c[s/t]"}
+	ctx := context.Background()
+	if _, err := reg.EstimateBatch(ctx, "fig2", queries, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteFrame(wire.FrameEstimateReq, 1, wire.AppendEstimateReq(nil, "fig2", queries, false)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := reg.EstimateBatch(ctx, "fig2", queries, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range items {
+		if !it.Cached {
+			t.Fatalf("item %d = %+v, want cached", i, it)
+		}
+	}
+	if want := wire.AppendEstimateResp(nil, items); f.Type != wire.FrameEstimateResp || !bytes.Equal(f.Payload, want) {
+		t.Fatalf("frame %s payload %x, want EstimateResp %x", f.Type, f.Payload, want)
+	}
+}
+
+// TestXTPReaderHammer: four callers share one client connection, mixing
+// cached estimates, which the server's reader answers, with uncached ones,
+// which it dispatches, while feedback publishes successor snapshots and a
+// Shutdown lands mid-stream. Every call must come back with its own answer
+// or unavailable, and no request handler or reader may run past Shutdown.
+func TestXTPReaderHammer(t *testing.T) {
+	_, syn := buildFixtureSynopsis(t, nil)
+	reg := NewRegistry(1024, 0)
+	defer reg.Close()
+	if _, err := reg.Add("fig2", syn, "test"); err != nil {
+		t.Fatal(err)
+	}
+	cached := []string{"/a/c/s", "//s//p", "/a/c/s/t", "/a/c[p]/s"}
+	if _, err := reg.EstimateBatch(context.Background(), "fig2", cached, false); err != nil {
+		t.Fatal(err)
+	}
+	x := NewXTP(reg, XTPOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- x.Serve(ln) }()
+	cl, err := client.DialXTP(ln.Addr().String(), client.WithXTPSynopsis("fig2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var answered, unavailable atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := cached[(g+i)%len(cached)]
+				if i%2 == 1 {
+					q = fmt.Sprintf("/a/c/s[%d]", g*1_000_000+i)
+				}
+				pq, err := xseed.ParseQuery(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				res, err := cl.EstimateBatch(ctx, []string{q})
+				cancel()
+				var ae *api.Error
+				switch {
+				case err == nil:
+					if len(res) != 1 || res[0].Err != nil || res[0].Query != pq.String() {
+						t.Errorf("caller %d: %s answered %+v", g, q, res)
+						return
+					}
+					answered.Add(1)
+				case errors.As(err, &ae) && ae.Code == api.CodeUnavailable:
+					unavailable.Add(1)
+				default:
+					t.Errorf("caller %d: %s failed with %v, want its answer or unavailable", g, q, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if err := reg.Feedback("fig2", "/a/u", float64(1+i%3)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	waitFor := func(n *atomic.Int64, min int64) {
+		for deadline := time.Now().Add(5 * time.Second); n.Load() < min && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor(&answered, 200)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := x.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if live := xtpGoroutines(); live != "" {
+		t.Errorf("xtp goroutines outlived Shutdown:\n%s", live)
+	}
+	waitFor(&unavailable, 4)
+	close(stop)
+	wg.Wait()
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if answered.Load() == 0 || unavailable.Load() == 0 {
+		t.Fatalf("%d answered and %d unavailable calls, want both", answered.Load(), unavailable.Load())
+	}
+}
+
+// xtpGoroutines returns the stacks of goroutines reading an xtp connection
+// or serving one of its requests.
+func xtpGoroutines() string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var live []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "(*xtpConn).serve") || strings.Contains(g, "(*xtpConn).readLoop") {
+			live = append(live, g)
+		}
+	}
+	return strings.Join(live, "\n\n")
 }

@@ -188,7 +188,7 @@ func Frames() []FrameInfo {
 			_, err := DecodeFeedbackAck(p)
 			return err
 		}},
-		{FrameStatsReq, "StatsReq", "C→S", decodeEmpty},
+		{FrameStatsReq, "StatsReq", "C→S", DecodeEmpty},
 		{FrameStatsResp, "StatsResp", "S→C", func(p []byte) error {
 			if !json.Valid(p) {
 				return fmt.Errorf("wire: StatsResp payload is not valid JSON")
@@ -199,9 +199,9 @@ func Frames() []FrameInfo {
 			_, err := DecodeError(p)
 			return err
 		}},
-		{FramePing, "Ping", "C→S", decodeEmpty},
-		{FramePong, "Pong", "S→C", decodeEmpty},
-		{FrameGoaway, "Goaway", "S→C", decodeEmpty},
+		{FramePing, "Ping", "C→S", DecodeEmpty},
+		{FramePong, "Pong", "S→C", DecodeEmpty},
+		{FrameGoaway, "Goaway", "S→C", DecodeEmpty},
 		{FrameAuthReq, "AuthReq", "C→S", func(p []byte) error {
 			_, err := DecodeAuthReq(p)
 			return err
@@ -230,7 +230,7 @@ func Frames() []FrameInfo {
 			_, err := DecodeSegmentAck(p)
 			return err
 		}},
-		{FrameRingReq, "RingReq", "C→S", decodeEmpty},
+		{FrameRingReq, "RingReq", "C→S", DecodeEmpty},
 		{FrameRingResp, "RingResp", "S→C", func(p []byte) error {
 			if !json.Valid(p) {
 				return fmt.Errorf("wire: RingResp payload is not valid JSON")
@@ -252,8 +252,9 @@ func Frames() []FrameInfo {
 	}
 }
 
-// decodeEmpty validates the bodyless frames (Ping, Pong, Goaway, StatsReq).
-func decodeEmpty(p []byte) error {
+// DecodeEmpty validates the bodyless frames (Ping, Pong, Goaway, StatsReq,
+// RingReq): a payload on one is a protocol error.
+func DecodeEmpty(p []byte) error {
 	if len(p) != 0 {
 		return fmt.Errorf("wire: unexpected %d-byte payload on a bodyless frame", len(p))
 	}

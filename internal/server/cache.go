@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -175,7 +176,10 @@ func (c *Cache) countRepeatHits(n int, savedNs int64, ten *Tenant) {
 // between keeps its full cost). A fill never replaces a newer version's
 // estimate: a batch pinned to an older snapshot can finish last. A new entry
 // evicts from the shard's least-recently-used tail when the shard is full,
-// and from the owning tenant's own entries when its quota is full.
+// and from the owning tenant's own entries when its quota is full. A new
+// entry keeps a copy of k's query, which may be a substring of a whole
+// request frame, so that an entry pins only its own bytes; a refill keeps
+// the copy it has.
 func (c *Cache) Put(k cacheKey, plan *xseed.Plan, planNs int64, v EstimateResult, ver uint64, ten *Tenant) {
 	si := c.shardFor(k)
 	s := &c.shards[si]
@@ -203,6 +207,7 @@ func (c *Cache) Put(k cacheKey, plan *xseed.Plan, planNs int64, v EstimateResult
 		}
 		c.evictions.Add(1)
 	}
+	k.query = strings.Clone(k.query)
 	s.items[k] = s.ll.PushFront(&cacheEntry{key: k, plan: plan, planNs: planNs, val: v, ver: ver, ten: ten})
 	if ten != nil {
 		s.tenCount[ten]++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"xseed"
 )
@@ -404,5 +405,51 @@ func TestCacheOneEntryPerQuery(t *testing.T) {
 	}
 	if got := c.Stats().Entries; got != 1 {
 		t.Fatalf("one query occupies %d entries", got)
+	}
+}
+
+// TestCachePutCopiesQuery: a new entry stores its own copy of its query,
+// never a view into the larger string (a decoded request frame) the query
+// came from, and a refill keeps the copy already stored.
+func TestCachePutCopiesQuery(t *testing.T) {
+	_, sn := fixtureSnapshot(t)
+	c := NewCache(64)
+	frame := "\x00fig2\x00/a/c/s\x00/a/u"
+	q := frame[6:12]
+	inFrame := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(frame)))
+		return p >= lo && p < lo+uintptr(len(frame))
+	}
+	if q != "/a/c/s" || !inFrame(q) {
+		t.Fatalf("test query %q is not a view into its frame", q)
+	}
+	stored := func() string {
+		s := &c.shards[c.shardFor(cacheKey{id: 1, query: q})]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		el, ok := s.items[cacheKey{id: 1, query: q}]
+		if !ok {
+			t.Fatalf("%s has no entry", q)
+		}
+		e := el.Value.(*cacheEntry)
+		for k := range s.items {
+			if k == e.key && unsafe.StringData(k.query) != unsafe.StringData(e.key.query) {
+				t.Fatal("the map key and the entry hold different copies of the query")
+			}
+		}
+		return e.key.query
+	}
+	putAt(c, sn, 1, q, EstimateResult{Est: 5}, nil)
+	first := stored()
+	if inFrame(first) {
+		t.Fatal("the cache stored a view into the frame")
+	}
+	again := string([]byte(q))
+	c.Put(cacheKey{id: 1, query: again}, sn.Compile(xseed.MustParseQuery(again)), 0, EstimateResult{Est: 6}, sn.Version(), nil)
+	if got := stored(); unsafe.StringData(got) != unsafe.StringData(first) {
+		t.Fatal("a refill replaced the stored query")
+	}
+	if v, ok := getAt(c, sn, 1, q, nil); !ok || v.Est != 6 {
+		t.Fatalf("after the refill: %+v, %v; want the refilled estimate 6", v, ok)
 	}
 }

@@ -912,7 +912,26 @@ type estBatch struct {
 	dups    [][2]int // (item, first item) pairs, copied once the batch is final
 	repeats int      // dups of cached items, with the cost they saved
 	saved   int64
+
+	scratch *dedupScratch // where first and dups came from, until settle returns them
 }
+
+// dedupScratch is the dedup table and repeat list of a batch of more than
+// len(estBatch.hitCost) queries, kept between batches in dedupPool. Both
+// are dead once the batch settles, so settle returns them, and a pooled
+// one holds no query: its table is empty.
+type dedupScratch struct {
+	first map[string]seen
+	dups  [][2]int
+}
+
+var dedupPool = sync.Pool{New: func() any {
+	return &dedupScratch{first: make(map[string]seen)}
+}}
+
+// maxPooledBatch is the largest batch whose scratch returns to the pool,
+// so that a rare huge batch does not keep its table alive there.
+const maxPooledBatch = 4096
 
 // answered reports whether the probe answered every query, so the items
 // are final.
@@ -956,7 +975,8 @@ func (r *Registry) probeBatch(ctx context.Context, b *estBatch, name string, que
 	b.e, b.sn, b.queries, b.stream = e, e.syn.Snapshot(), queries, streaming
 	b.items = make([]api.EstimateItem, len(queries))
 	if len(queries) > len(b.hitCost) {
-		b.first = make(map[string]seen, len(queries))
+		b.scratch = dedupPool.Get().(*dedupScratch)
+		b.first, b.dups = b.scratch.first, b.scratch.dups[:0]
 	}
 	// The span accumulates each query's stage nanoseconds and flushes once
 	// per query; it is pooled and nil when instrumentation is disabled, so
@@ -1009,7 +1029,8 @@ func (r *Registry) probe(b *estBatch, sp *obs.Span, i int) (miss bool, pl *xseed
 // settle completes a batch whose first copies are final. A repeat of a
 // cached item counts as the hit its own probe would have been; a repeat
 // of anything else counts nothing, since it is served by its first copy's
-// computation. Either way it copies its first copy's item.
+// computation. Either way it copies its first copy's item. The dedup
+// table and repeat list are dead from here on, and go back to the pool.
 func (r *Registry) settle(b *estBatch) {
 	if b.repeats > 0 {
 		r.cache.countRepeatHits(b.repeats, b.saved, b.e.ten)
@@ -1017,6 +1038,12 @@ func (r *Registry) settle(b *estBatch) {
 	for _, d := range b.dups {
 		b.items[d[0]] = b.items[d[1]]
 	}
+	if s := b.scratch; s != nil && len(b.queries) <= maxPooledBatch {
+		clear(b.first)
+		s.dups = b.dups[:0]
+		dedupPool.Put(s)
+	}
+	b.scratch, b.first, b.dups = nil, nil, nil
 }
 
 // finishBatch is EstimateBatch's second phase. It continues the probe at

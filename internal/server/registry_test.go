@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"xseed/api"
 	"xseed/internal/fixtures"
 	"xseed/internal/obs"
+	"xseed/internal/wire"
 )
 
 func buildFixtureSynopsis(t testing.TB, cfg *xseed.Config) (*xseed.Document, *xseed.Synopsis) {
@@ -293,6 +296,121 @@ func TestEstimateHitAllocs(t *testing.T) {
 		if n > tc.max {
 			t.Errorf("cached batch of %d allocates %v objects, want at most %v", len(tc.queries), n, tc.max)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// TestEstimateMissAllocs is the allocation budget of a served estimate
+// batch on the miss path: the skewed-miss benchmark's synopsis, a smaller
+// pool of its shape, 64-query Zipf batches against a 4096-entry cache, run
+// through what the xtp transport does per request: decode the frame,
+// probe, finish, encode the response. Before the one-copy decode, parse
+// trees sized once and the pooled dedup table, a request allocated the
+// figures below (go1.24, linux/amd64; within 0.5% of them with
+// GOEXPERIMENT=noswissmap, the map implementation of go1.22 and 1.23); the
+// budget is 55% of those bytes and half of those objects.
+func TestEstimateMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a share of sync.Pool puts on purpose, so pooled memory is reallocated")
+	}
+	if testing.Short() {
+		t.Skip("builds a treebank synopsis")
+	}
+	const (
+		beforeBytes   = 23180 // per request
+		beforeObjects = 139
+	)
+	doc, err := xseed.Generate("treebank", 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := xseed.BuildSynopsis(doc, &xseed.Config{CardThreshold: 20, HET: &xseed.HETConfig{MBP: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []string
+	seen := map[string]bool{}
+	add := func(qs []*xseed.Query) {
+		for _, q := range qs {
+			if s := q.String(); !seen[s] {
+				seen[s] = true
+				pool = append(pool, s)
+			}
+		}
+	}
+	add(doc.SimplePathQueries(0))
+	for i, class := range []string{"BP", "CP"} {
+		qs, err := doc.RandomWorkloadOpts(class, xseed.WorkloadOptions{N: 200, MaxPredsPerStep: 2, Seed: 1 + int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(qs)
+	}
+	rng := rand.New(rand.NewSource(1))
+	rank := rng.Perm(len(pool))
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(pool)-1))
+	frames := func(n int) [][]byte {
+		out := make([][]byte, n)
+		batch := make([]string, 64)
+		for i := range out {
+			for j := range batch {
+				batch[j] = pool[rank[zipf.Uint64()]]
+			}
+			out[i] = wire.AppendEstimateReq(nil, "treebank", batch, false)
+		}
+		return out
+	}
+
+	reg := NewRegistryObs(4096, 0, obs.NewRegistry()) // stage spans on, as in xseedd
+	defer reg.Close()
+	if _, err := reg.Add("treebank", syn, "test"); err != nil {
+		t.Fatal(err)
+	}
+	svc := &service{reg: reg}
+	ten := reg.Tenants().Default()
+	ctx := context.Background()
+	buf := make([]byte, 0, 64<<10)
+	serve := func(frame []byte) {
+		name, queries, streaming, err := wire.DecodeEstimateReq(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b estBatch
+		if aerr := svc.estimate(ctx, &b, ten, name, queries, streaming); aerr != nil {
+			t.Fatal(aerr)
+		}
+		items, aerr := svc.finishEstimate(ctx, &b)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		buf = wire.AppendEstimateResp(buf[:0], items)
+	}
+	for _, f := range frames(2000) { // fill the cache and the pools
+		serve(f)
+	}
+	measured := frames(1000)
+	before := reg.cache.Stats()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for _, f := range measured {
+		serve(f)
+	}
+	runtime.ReadMemStats(&m1)
+	after := reg.cache.Stats()
+	n := float64(len(measured))
+	allocated := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	objects := float64(m1.Mallocs-m0.Mallocs) / n
+	hits := float64(after.Hits-before.Hits) / float64(after.Hits-before.Hits+after.Misses-before.Misses)
+	t.Logf("%.0f B and %.1f objects per request (before: %d B, %d objects); hit ratio %.3f over %d distinct queries",
+		allocated, objects, beforeBytes, beforeObjects, hits, len(pool))
+	if limit := 0.55 * beforeBytes; allocated > limit {
+		t.Errorf("a request allocates %.0f B, want at most %.0f (55%% of %d)", allocated, limit, beforeBytes)
+	}
+	if limit := 0.50 * beforeObjects; objects > limit {
+		t.Errorf("a request allocates %.1f objects, want at most %.1f (50%% of %d)", objects, limit, beforeObjects)
 	}
 }
 

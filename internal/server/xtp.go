@@ -410,12 +410,16 @@ func (cn *xtpConn) dispatch(corr uint64, start time.Time, h *obs.Histogram, call
 
 // serve answers one request. call encodes the response into the pooled
 // buffer and names its frame type; an *api.Error from it fails the request
-// whole with an Error frame instead. The request's latency, from start to
-// its response write, lands on h.
+// whole with an Error frame instead, and so does a response too large for
+// one frame (docs/PROTOCOL.md §4.7), which the peer could not read. The
+// request's latency, from start to its response write, lands on h.
 func (cn *xtpConn) serve(corr uint64, start time.Time, h *obs.Histogram, call func(buf *[]byte) (wire.FrameType, *api.Error)) {
 	buf := wire.GetBuf()
 	if ft, aerr := call(buf); aerr != nil {
 		cn.writeError(corr, aerr)
+	} else if len(*buf) > wire.MaxFrame {
+		cn.writeError(corr, api.Errorf(api.CodeBadRequest,
+			"response of %d bytes exceeds the %d-byte frame limit; split the request", len(*buf), wire.MaxFrame))
 	} else {
 		cn.write(ft, corr, *buf)
 	}

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -19,8 +21,10 @@ import (
 	"xseed/api"
 	"xseed/client"
 	"xseed/internal/fixtures"
+	"xseed/internal/logx"
 	"xseed/internal/obs"
 	"xseed/internal/wire"
+	"xseed/internal/xpath"
 )
 
 // startXTP serves the binary protocol on a loopback listener over a
@@ -115,6 +119,111 @@ func TestXTPEstimatePartialSuccess(t *testing.T) {
 	}
 	if d, ok := items[1].Error.ParseDetail(); !ok || d.Offset <= 0 {
 		t.Fatalf("parse detail = %+v, ok=%v", d, ok)
+	}
+}
+
+// exchange sends one frame and reads the next, which must answer it.
+func exchange(t *testing.T, r *wire.Reader, w *wire.Writer, ft wire.FrameType, corr uint64, payload []byte) wire.Frame {
+	t.Helper()
+	if err := w.WriteFrame(ft, corr, payload); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.ReadFrame()
+	if err != nil {
+		t.Fatalf("%s %d: no answer: %v", ft, corr, err)
+	}
+	if f.Corr != corr {
+		t.Fatalf("%s %d answered with corr %d", ft, corr, f.Corr)
+	}
+	return f
+}
+
+// parseErrorItem returns the one item of an EstimateResp, which must be a
+// parse_error at offset.
+func parseErrorItem(t *testing.T, f wire.Frame, offset int) api.EstimateItem {
+	t.Helper()
+	if f.Type != wire.FrameEstimateResp {
+		t.Fatalf("frame = %s, want EstimateResp", f.Type)
+	}
+	items, err := wire.DecodeEstimateResp(f.Payload)
+	if err != nil || len(items) != 1 {
+		t.Fatalf("items = %d, %v; want 1", len(items), err)
+	}
+	it := items[0]
+	if it.Error == nil || it.Error.Code != api.CodeParseError {
+		t.Fatalf("item error = %v, want parse_error", it.Error)
+	}
+	if d, ok := it.Error.ParseDetail(); !ok || d.Offset != offset {
+		t.Fatalf("parse detail = %+v, %v; want offset %d", d, ok, offset)
+	}
+	return it
+}
+
+// TestXTPDeeplyNestedQuery: a query nesting predicates millions deep is a
+// per-item parse_error at the '[' past the nesting cap, not a stack
+// overflow that takes the daemon down, and the connection stays usable.
+func TestXTPDeeplyNestedQuery(t *testing.T) {
+	_, addr := startXTP(t, nil)
+	c, r, w := dialRaw(t, addr)
+	c.SetDeadline(time.Now().Add(60 * time.Second))
+	const depth = 3_300_000 // 9.9 MB
+	q := "/a" + strings.Repeat("[b", depth) + strings.Repeat("]", depth)
+	f := exchange(t, r, w, wire.FrameEstimateReq, 1, wire.AppendEstimateReq(nil, "fig2", []string{q}, false))
+	if it := parseErrorItem(t, f, len("/a")+2*xpath.MaxNesting); it.Query != q {
+		t.Fatalf("item echoes a %d-byte query, want the %d-byte request", len(it.Query), len(q))
+	}
+	if f := exchange(t, r, w, wire.FramePing, 2, nil); f.Type != wire.FramePong {
+		t.Fatalf("ping answered with %s", f.Type)
+	}
+}
+
+// TestXTPOverLimitResponse: a request whose response would not fit in one
+// frame gets an Error frame naming the size and the limit, and the
+// connection stays usable. A malformed query of megabytes fits, whether
+// its error lies at its end or before a long unparsed tail, since its
+// parse error quotes only excerpts of it; so does one of bytes that are
+// not UTF-8, whose excerpt must stop at the query's start. A batch of
+// 250,000 short malformed queries, each answered with a parse error 20
+// times its size, does not fit.
+func TestXTPOverLimitResponse(t *testing.T) {
+	_, addr := startXTP(t, nil)
+	c, r, w := dialRaw(t, addr)
+	c.SetDeadline(time.Now().Add(60 * time.Second))
+
+	unterminated := "/" + strings.Repeat("a", 9_400_000) + "["
+	corr := uint64(0)
+	for _, tc := range []struct {
+		q      string
+		offset int
+	}{
+		{unterminated, len(unterminated)},
+		{"/a]" + strings.Repeat("a", 9_400_000), len("/a")},
+		{strings.Repeat("\x80", 65), 0},
+	} {
+		corr++
+		f := exchange(t, r, w, wire.FrameEstimateReq, corr, wire.AppendEstimateReq(nil, "fig2", []string{tc.q}, false))
+		if it := parseErrorItem(t, f, tc.offset); len(it.Error.Msg) > 300 {
+			t.Fatalf("%d-byte query: parse error message is %d bytes, want a short excerpt", len(tc.q), len(it.Error.Msg))
+		}
+	}
+
+	batch := make([]string, 250_000)
+	for i := range batch {
+		batch[i] = "/a["
+	}
+	f := exchange(t, r, w, wire.FrameEstimateReq, corr+1, wire.AppendEstimateReq(nil, "fig2", batch, false))
+	if f.Type != wire.FrameError {
+		t.Fatalf("over-limit response answered with %s, want Error", f.Type)
+	}
+	ae, err := wire.DecodeError(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ae.Code != api.CodeBadRequest || !strings.Contains(ae.Msg, fmt.Sprint(wire.MaxFrame)) {
+		t.Fatalf("error = %v, want bad_request naming the %d-byte limit", ae, wire.MaxFrame)
+	}
+	if f := exchange(t, r, w, wire.FramePing, corr+2, nil); f.Type != wire.FramePong {
+		t.Fatalf("ping answered with %s", f.Type)
 	}
 }
 
@@ -619,6 +728,149 @@ func TestXTPReaderHammer(t *testing.T) {
 	if answered.Load() == 0 || unavailable.Load() == 0 {
 		t.Fatalf("%d answered and %d unavailable calls, want both", answered.Load(), unavailable.Load())
 	}
+}
+
+// TestEstimateScratchHammer: a batch of more than 8 queries borrows its
+// dedup table and repeat list from a pool, and gives them back when it
+// settles. Four callers send 64-query batches over two xtp connections
+// and HTTP, mixing repeats, misses against a 256-entry cache and one
+// malformed query per batch, and every third batch from each caller is
+// made of cached queries only, which the xtp reader answers itself;
+// meanwhile feedback publishes every millisecond. Every item must carry
+// its own query's normalized text, or a parse_error for the malformed
+// query: a table given back before its batch settles is refilled by
+// another batch underneath it.
+func TestEstimateScratchHammer(t *testing.T) {
+	s, err := New(Config{CacheCapacity: 256, Logger: logx.Discard()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, syn := buildFixtureSynopsis(t, nil)
+	if _, err := s.reg.Add("fig2", syn, "test"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	x := NewXTP(s.reg, XTPOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- x.Serve(ln) }()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := x.Shutdown(ctx); err != nil {
+			t.Errorf("xtp shutdown: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Errorf("xtp serve: %v", err)
+		}
+	}()
+	type batcher interface {
+		EstimateBatch(context.Context, []string) ([]xseed.Result, error)
+	}
+	var conns [2]batcher
+	for i := range conns {
+		cl, err := client.DialXTP(ln.Addr().String(), client.WithXTPSynopsis("fig2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		conns[i] = cl
+	}
+	hc, err := client.New(ts.URL, client.WithSynopsis("fig2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := []batcher{conns[0], conns[1], hc, conns[0]}
+
+	// Spellings whose normalized text differs from the query, so that an
+	// item answered for another query shows.
+	hot := []string{"/a/c/s", "//s//p", "/a/c[./p]/s", "/a[//s]/c", "/a/./c", "/a/c/s[.//t]"}
+	const malformed = "/a/c["
+	var fresh atomic.Int64
+	batch := func(rng *rand.Rand, cachedOnly bool) []string {
+		qs := make([]string, 64)
+		for j := range qs {
+			switch {
+			case cachedOnly || j%4 == 0:
+				qs[j] = hot[rng.Intn(len(hot))]
+			case j%4 == 1:
+				qs[j] = fmt.Sprintf("/a/c/s[./n%d]", fresh.Add(1))
+			case j%4 == 2:
+				qs[j] = qs[rng.Intn(j)] // a repeat
+			default:
+				qs[j] = fmt.Sprintf("/a/c[./m%d]/s", rng.Intn(300))
+			}
+		}
+		if !cachedOnly {
+			qs[rng.Intn(len(qs))] = malformed
+		}
+		return qs
+	}
+	if _, err := s.reg.EstimateBatch(context.Background(), "fig2", hot, false); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var fb sync.WaitGroup
+	fb.Add(1)
+	go func() {
+		defer fb.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if err := s.reg.Feedback("fig2", "/a/u", float64(1+i%3)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g, cl := range callers {
+		wg.Add(1)
+		go func(g int, cl batcher) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 60; i++ {
+				qs := batch(rng, i%3 == 2)
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				res, err := cl.EstimateBatch(ctx, qs)
+				cancel()
+				if err != nil {
+					t.Errorf("caller %d: %v", g, err)
+					return
+				}
+				if len(res) != len(qs) {
+					t.Errorf("caller %d: %d results for %d queries", g, len(res), len(qs))
+					return
+				}
+				for j, q := range qs {
+					var ae *api.Error
+					if q == malformed {
+						if !errors.As(res[j].Err, &ae) || ae.Code != api.CodeParseError || res[j].Query != q {
+							t.Errorf("caller %d: item %d of %q = %+v, want a parse_error", g, j, q, res[j])
+							return
+						}
+						continue
+					}
+					if want := xseed.MustParseQuery(q).String(); res[j].Err != nil || res[j].Query != want {
+						t.Errorf("caller %d: item %d of %q = %+v, want %q", g, j, q, res[j], want)
+						return
+					}
+				}
+			}
+		}(g, cl)
+	}
+	wg.Wait()
+	close(stop)
+	fb.Wait()
 }
 
 // xtpGoroutines returns the stacks of goroutines reading an xtp connection

@@ -53,10 +53,15 @@ func AppendEstimateReq(b []byte, name string, queries []string, streaming bool) 
 	return b
 }
 
-// DecodeEstimateReq decodes an EstimateReq payload.
+// DecodeEstimateReq decodes an EstimateReq payload. The name and every
+// query are substrings of one copy of p, so a frame costs two allocations
+// whatever its query count, and nothing returned aliases p. A caller that
+// keeps one query past the request keeps the whole copy alive, so
+// long-lived holders (the estimate cache) clone what they keep.
 func DecodeEstimateReq(p []byte) (name string, queries []string, streaming bool, err error) {
+	s := string(p)
 	d := dec{b: p}
-	name = d.str()
+	name = d.sub(s)
 	flags := d.byte()
 	n := d.count(1) // a query is at least one length byte
 	if d.err != nil {
@@ -64,7 +69,7 @@ func DecodeEstimateReq(p []byte) (name string, queries []string, streaming bool,
 	}
 	queries = make([]string, n)
 	for i := range queries {
-		queries[i] = d.str()
+		queries[i] = d.sub(s)
 	}
 	if err := d.finish("EstimateReq"); err != nil {
 		return "", nil, false, err
@@ -376,6 +381,12 @@ func (d *dec) count(minBytes int) int {
 
 func (d *dec) str() string {
 	return string(d.raw())
+}
+
+// sub reads a string field as a substring of s, a copy of the payload.
+func (d *dec) sub(s string) string {
+	f := d.raw()
+	return s[d.off-len(f) : d.off]
 }
 
 func (d *dec) blob() []byte {

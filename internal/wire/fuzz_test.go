@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"xseed/api"
@@ -10,8 +12,9 @@ import (
 // FuzzXTPDecode throws arbitrary bytes at the frame reader and every
 // registered payload decoder. The invariants: no panic, no allocation
 // driven by an unchecked length prefix (a malformed length must error, not
-// OOM), and truncated frames always error. CI runs this with a 30-second
-// budget in the quick lane.
+// OOM), and truncated frames always error. The input and every frame
+// payload in it are also EstimateReq payloads for checkEstimateReq. CI
+// runs this with a 30-second budget in the quick lane.
 func FuzzXTPDecode(f *testing.F) {
 	// Seed with well-formed traffic so mutation explores the format's
 	// neighborhood, not just random noise.
@@ -64,6 +67,7 @@ func FuzzXTPDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkEstimateReq(t, data)
 		r := NewReader(bytes.NewReader(data))
 		for i := 0; i < 64; i++ { // bound work per input
 			fr, err := r.ReadFrame()
@@ -76,6 +80,33 @@ func FuzzXTPDecode(f *testing.F) {
 			if dec, ok := decoders[fr.Type]; ok {
 				dec(fr.Payload) // must not panic; errors are fine
 			}
+			checkEstimateReq(t, fr.Payload)
 		}
 	})
+}
+
+// checkEstimateReq holds DecodeEstimateReq to two properties on any
+// payload it accepts: what it returns does not change when the payload's
+// bytes do afterwards, as the reader's buffer does under the next frame;
+// and re-encoding what it returns decodes to the same request.
+func checkEstimateReq(t *testing.T, payload []byte) {
+	p := bytes.Clone(payload)
+	name, queries, streaming, err := DecodeEstimateReq(p)
+	if err != nil {
+		return
+	}
+	wantName, wantQueries := strings.Clone(name), make([]string, len(queries))
+	for i, q := range queries {
+		wantQueries[i] = strings.Clone(q)
+	}
+	for i := range p {
+		p[i] ^= 0xff
+	}
+	if name != wantName || !slices.Equal(queries, wantQueries) {
+		t.Fatalf("decoded request changed with the payload: %q %q, was %q %q", name, queries, wantName, wantQueries)
+	}
+	name2, queries2, streaming2, err := DecodeEstimateReq(AppendEstimateReq(nil, name, queries, streaming))
+	if err != nil || name2 != name || !slices.Equal(queries2, queries) || streaming2 != streaming {
+		t.Fatalf("re-encoded request decodes to %q %q %v, %v; want %q %q %v", name2, queries2, streaming2, err, name, queries, streaming)
+	}
 }

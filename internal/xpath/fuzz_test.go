@@ -2,12 +2,15 @@ package xpath
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // FuzzParseRoundTrip: any input that parses renders to text that parses
 // back to the same tree, renders the same and classifies the same. Compiled
 // query plans keep only that text and rebuild their parse tree from it.
+// Any input that does not parse gets an error message, short when the
+// input is long: the servers put it in a response.
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, s := range []string{
 		"/a", "//a", "/a/*", "//*", "/*/*//*", "/a/b//c",
@@ -15,12 +18,20 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"/a[//b]", "/a/c[.//p]", "/a[.//b[c]//d]//e[f][*]",
 		"//site/regions//item[shipping][incategory]/location",
 		"/a[./b]", "/a[.]", "/a[././/b]", "/café[ü]", "/a:b/@c",
+		"/a" + strings.Repeat("[b", MaxNesting) + strings.Repeat("]", MaxNesting),
+		"/a" + strings.Repeat("[.//b", MaxNesting+1) + strings.Repeat("]", MaxNesting+1),
+		strings.Repeat("\x80", maxQuote+1), "/a]" + strings.Repeat("\x80", 2*maxQuote),
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		p, err := Parse(in)
 		if err != nil {
+			// Each of the message's two quotes holds at most maxQuote
+			// bytes of the input, each at most 4 bytes once escaped.
+			if msg := err.Error(); len(in) > maxQuote && len(msg) > 16*maxQuote {
+				t.Fatalf("a %d-byte input gets a %d-byte message", len(in), len(msg))
+			}
 			return
 		}
 		s := p.String()

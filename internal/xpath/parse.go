@@ -3,7 +3,20 @@ package xpath
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
+
+// MaxNesting is how deeply predicates may nest: "/a[b[c]]" nests two
+// deep. The parser, the renderer and the plan compiler each recurse once
+// per level, so an unbounded depth would let one query exhaust a
+// goroutine's stack, which no caller can recover from.
+const MaxNesting = 64
+
+// maxQuote bounds what a ParseError's message quotes of its input: a
+// longer input is quoted as an excerpt around the error, and a longer
+// unparsed tail by its start, so that an error about a megabyte-long query
+// is not itself a megabyte long.
+const maxQuote = 64
 
 // ParseError describes a syntax error with its position in the input.
 type ParseError struct {
@@ -13,7 +26,25 @@ type ParseError struct {
 }
 
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("xpath: parse %q at offset %d: %s", e.Input, e.Pos, e.Msg)
+	if len(e.Input) <= maxQuote {
+		return fmt.Sprintf("xpath: parse %q at offset %d: %s", e.Input, e.Pos, e.Msg)
+	}
+	lo := max(0, min(e.Pos, len(e.Input))-maxQuote/2)
+	return fmt.Sprintf("xpath: parse %d-byte query at offset %d, near %q: %s", len(e.Input), e.Pos, excerpt(e.Input, lo), e.Msg)
+}
+
+// excerpt returns at most maxQuote bytes of s from lo, with both ends
+// moved inward to rune starts so that no character is cut in half. Bytes
+// that are not UTF-8 may shorten it, down to nothing.
+func excerpt(s string, lo int) string {
+	hi := min(len(s), lo+maxQuote)
+	for lo < hi && !utf8.RuneStart(s[lo]) {
+		lo++
+	}
+	for hi > lo && hi < len(s) && !utf8.RuneStart(s[hi]) {
+		hi--
+	}
+	return s[lo:hi]
 }
 
 // Parse parses an absolute path expression such as
@@ -32,13 +63,19 @@ func (e *ParseError) Error() string {
 // Inside predicates the leading axis defaults to child; a leading ".//" (or
 // "//", accepted as a convenience) selects the descendant axis.
 func Parse(input string) (*Path, error) {
-	p := &parser{in: input}
-	path, err := p.parsePath(false)
+	// 32 steps hold every simple path of the treebank dataset, the deepest
+	// (31 steps, 14.2 on average at factor 0.01); a longer path grows its
+	// buffer on the heap by append.
+	var steps [32]Step
+	p := parser{in: input}
+	path, err := p.parsePath(false, steps[:0])
 	if err != nil {
 		return nil, err
 	}
-	if p.pos != len(p.in) {
-		return nil, p.errf("unexpected %q", p.in[p.pos:])
+	if rest := p.in[p.pos:]; len(rest) > maxQuote {
+		return nil, p.errf("unexpected %d bytes starting %q", len(rest), excerpt(rest, 0))
+	} else if rest != "" {
+		return nil, p.errf("unexpected %q", rest)
 	}
 	if len(path.Steps) == 0 {
 		return nil, p.errf("empty path")
@@ -56,8 +93,9 @@ func MustParse(input string) *Path {
 }
 
 type parser struct {
-	in  string
-	pos int
+	in    string
+	pos   int
+	depth int // predicates open at pos
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -118,9 +156,19 @@ func (p *parser) parseStep(axis Axis) (Step, error) {
 		}
 		st.Label = n
 	}
+	// The step's predicates and each predicate's steps collect in arrays
+	// on the stack, and only their final lengths are allocated.
+	var predBuf [2]*Path
+	preds := predBuf[:0]
 	for p.peek() == '[' {
+		if p.depth == MaxNesting {
+			return st, p.errf("predicates nested deeper than %d", MaxNesting)
+		}
 		p.pos++
-		pred, err := p.parsePath(true)
+		p.depth++
+		var steps [4]Step
+		pred, err := p.parsePath(true, steps[:0])
+		p.depth--
 		if err != nil {
 			return st, err
 		}
@@ -131,17 +179,20 @@ func (p *parser) parseStep(axis Axis) (Step, error) {
 			return st, p.errf("expected ]")
 		}
 		p.pos++
-		st.Preds = append(st.Preds, pred)
+		preds = append(preds, pred)
+	}
+	if len(preds) > 0 {
+		st.Preds = make([]*Path, len(preds))
+		copy(st.Preds, preds)
 	}
 	return st, nil
 }
 
 // parsePath parses a path; relative paths (predicate bodies) allow an
-// implicit leading child axis.
-func (p *parser) parsePath(relative bool) (*Path, error) {
-	path := &Path{}
-	first := true
-	for {
+// implicit leading child axis. Its steps collect in steps, a caller's
+// buffer, and the path gets a copy of exactly their length.
+func (p *parser) parsePath(relative bool, steps []Step) (*Path, error) {
+	for first := true; ; first = false {
 		var ax Axis
 		if first && relative {
 			// Optional ".//" or "//" prefix selects descendant; "./" is
@@ -162,16 +213,17 @@ func (p *parser) parsePath(relative bool) (*Path, error) {
 			}
 		} else {
 			var ok bool
-			ax, ok = p.axis()
-			if !ok {
-				return path, nil
+			if ax, ok = p.axis(); !ok {
+				break
 			}
 		}
 		st, err := p.parseStep(ax)
 		if err != nil {
 			return nil, err
 		}
-		path.Steps = append(path.Steps, st)
-		first = false
+		steps = append(steps, st)
 	}
+	path := &Path{Steps: make([]Step, len(steps))}
+	copy(path.Steps, steps)
+	return path, nil
 }

@@ -6,10 +6,6 @@
 // query recursion level (QRL, Definition 2) is computable.
 package xpath
 
-import (
-	"strings"
-)
-
 // Axis is a location step axis.
 type Axis uint8
 
@@ -28,12 +24,13 @@ func (a Axis) String() string {
 }
 
 // Step is one location step: an axis, a node test, and zero or more
-// structural predicates (each a relative path).
+// structural predicates (each a relative path). The two one-byte fields
+// come last, where they share one word of padding: 48 bytes, not 56.
 type Step struct {
-	Axis     Axis
-	Label    string // node test; ignored when Wildcard
-	Wildcard bool
+	Label    string  // node test; ignored when Wildcard
 	Preds    []*Path // relative predicate paths
+	Axis     Axis
+	Wildcard bool
 }
 
 // Matches reports whether the step's node test accepts a label.
@@ -193,14 +190,15 @@ func (p *Path) IsRecursive() bool { return p.QRL() > 0 }
 // counted).
 func (p *Path) NumSteps() int { return len(p.Steps) }
 
-// String renders the path in the concrete syntax accepted by Parse.
+// String renders the path in the concrete syntax accepted by Parse. It
+// renders into a stack buffer, so a path of up to 128 bytes costs one
+// allocation, its result.
 func (p *Path) String() string {
-	var sb strings.Builder
-	p.write(&sb, false)
-	return sb.String()
+	var buf [128]byte
+	return string(p.appendTo(buf[:0], false))
 }
 
-func (p *Path) write(sb *strings.Builder, relative bool) {
+func (p *Path) appendTo(b []byte, relative bool) []byte {
 	for i := range p.Steps {
 		s := &p.Steps[i]
 		if i == 0 && relative {
@@ -209,24 +207,25 @@ func (p *Path) write(sb *strings.Builder, relative bool) {
 			// step named "." is written "./." so that it cannot merge with
 			// the next step into one of those prefixes.
 			if s.Axis == Descendant {
-				sb.WriteString(".//")
+				b = append(b, ".//"...)
 			} else if !s.Wildcard && s.Label == "." {
-				sb.WriteString("./")
+				b = append(b, "./"...)
 			}
 		} else {
-			sb.WriteString(s.Axis.String())
+			b = append(b, s.Axis.String()...)
 		}
 		if s.Wildcard {
-			sb.WriteByte('*')
+			b = append(b, '*')
 		} else {
-			sb.WriteString(s.Label)
+			b = append(b, s.Label...)
 		}
 		for _, pr := range s.Preds {
-			sb.WriteByte('[')
-			pr.write(sb, true)
-			sb.WriteByte(']')
+			b = append(b, '[')
+			b = pr.appendTo(b, true)
+			b = append(b, ']')
 		}
 	}
+	return b
 }
 
 // Clone returns a deep copy of the path.

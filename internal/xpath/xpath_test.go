@@ -1,8 +1,12 @@
 package xpath
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseSimple(t *testing.T) {
@@ -105,6 +109,104 @@ func TestParseErrors(t *testing.T) {
 	for _, in := range bad {
 		if q, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) = %v, want error", in, q)
+		}
+	}
+}
+
+// nested returns "/a" with depth predicates nested inside one another.
+func nested(depth int) string {
+	return "/a" + strings.Repeat("[b", depth) + strings.Repeat("]", depth)
+}
+
+// TestParseNestingCap: predicates nest at most MaxNesting deep, and the
+// error names the '[' that opens one level too many.
+func TestParseNestingCap(t *testing.T) {
+	q, err := Parse(nested(MaxNesting))
+	if err != nil {
+		t.Fatalf("nested %d deep: %v", MaxNesting, err)
+	}
+	if s := q.String(); s != nested(MaxNesting) {
+		t.Fatalf("nested %d deep renders %q", MaxNesting, s)
+	}
+	for _, depth := range []int{MaxNesting + 1, 3_300_000} {
+		_, err := Parse(nested(depth))
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("nested %d deep: err = %v, want a *ParseError", depth, err)
+		}
+		if want := len("/a") + 2*MaxNesting; pe.Pos != want {
+			t.Errorf("nested %d deep: error at offset %d, want %d (the '[' opening level %d)", depth, pe.Pos, want, MaxNesting+1)
+		}
+		if depth > 1000 && len(pe.Error()) > 200 {
+			t.Errorf("nested %d deep: message is %d bytes, want a short excerpt", depth, len(pe.Error()))
+		}
+	}
+}
+
+// TestParseErrorQuotesExcerpt: a short query is quoted whole; a long one
+// only around the error, and its unparsed tail only by its start, so that
+// the message stays short whatever the query's bytes.
+func TestParseErrorQuotesExcerpt(t *testing.T) {
+	_, err := Parse("/a[")
+	if want := `xpath: parse "/a[" at offset 3: expected name or *`; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	_, err = Parse("/a]b")
+	if want := `xpath: parse "/a]b" at offset 2: unexpected "]b"`; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	unterminated := "/" + strings.Repeat("é", 1<<20) + "["
+	trailing := "/a]" + strings.Repeat("x", 1<<20)
+	for _, tc := range []struct {
+		in   string
+		want []string // in the message
+	}{
+		{unterminated, []string{fmt.Sprintf("%d-byte query at offset %d", len(unterminated), len(unterminated)), `é["`}},
+		{trailing, []string{fmt.Sprintf("%d-byte query at offset 2", len(trailing)), fmt.Sprintf(`unexpected %d bytes starting "]xxx`, len(trailing)-2)}},
+		// Not UTF-8: the excerpt must not run past either end of the input.
+		{strings.Repeat("\x80", maxQuote+1), []string{"at offset 0"}},
+		{"/a[" + strings.Repeat("\x80", 3*maxQuote) + "\x01", []string{"expected ]"}},
+	} {
+		_, err := Parse(tc.in)
+		if err == nil {
+			t.Fatalf("%d-byte query parsed", len(tc.in))
+		}
+		msg := err.Error()
+		if len(msg) > 300 {
+			t.Errorf("%d-byte query: message is %d bytes, want a short excerpt", len(tc.in), len(msg))
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("%d-byte query: message %.300q does not contain %q", len(tc.in), msg, w)
+			}
+		}
+	}
+}
+
+// rendered keeps what String returns on the heap, as a caller's would be.
+var rendered string
+
+// TestParseAllocatesOnce: each path's steps and each step's predicates are
+// allocated once, at their final length, and String allocates once.
+func TestParseAllocatesOnce(t *testing.T) {
+	if size := unsafe.Sizeof(Step{}); size != 48 {
+		t.Errorf("Step is %d bytes, want 48", size)
+	}
+	long := strings.Repeat("/s", 40) // past Parse's stack buffer
+	for _, tc := range []struct {
+		in     string
+		allocs float64 // per path: the Path and its steps; per step with predicates: its slice
+	}{
+		{"/a/c/s/s/t", 2},
+		{long, 3}, // the buffer grows once on the heap
+		{"/a[b][c/d]//e", 2 + 1 + 2 + 2},
+	} {
+		q := MustParse(tc.in)
+		if n := testing.AllocsPerRun(100, func() { MustParse(tc.in) }); n != tc.allocs {
+			t.Errorf("Parse(%q) allocates %v objects, want %v", tc.in, n, tc.allocs)
+		}
+		if n := testing.AllocsPerRun(100, func() { rendered = q.String() }); n != 1 {
+			t.Errorf("String of %q allocates %v objects, want 1", tc.in, n)
 		}
 	}
 }

@@ -24,12 +24,13 @@
 // bases, and on start the whole registry is reloaded from the store's
 // manifest with deltas replayed — tolerating the torn log tail a kill -9
 // leaves behind. -store-fsync picks the durability mode: off (page cache),
-// batch (group commit: concurrent appends share one fsync per
-// -store-batch-latency window, callers ack only after their batch is
-// durable), or every (one fsync per record); see the README's
-// "Durability modes" table. -store-fsck validates a store directory (manifest,
-// snapshot loads, delta checksums, full replay) and exits, for use as a CI
-// or pre-start smoke check.
+// batch (group commit: an idle store fsyncs a record at once, a busy one
+// starts a flush at most once per -store-batch-latency so concurrent
+// appends share its fsync, and callers ack only after their batch is
+// durable), or every (one fsync per append: per feedback round, per other
+// mutation); see the README's "Durability modes" table. -store-fsck
+// validates a store directory (manifest, snapshot loads, delta checksums,
+// full replay) and exits, for use as a CI or pre-start smoke check.
 //
 // The HTTP API supports creating, estimating against, tuning, and
 // snapshotting synopses at runtime. Its wire contract — versioned /v1

@@ -157,10 +157,10 @@ func TestSection4EPTDump(t *testing.T) {
 func TestSimplePathsExactOnFigure2(t *testing.T) {
 	_, k, pt, _ := fig2(t)
 	pt.Walk(func(n *pathtree.Node) {
-		q := xpath.MustParse(n.PathString(pt.Dict()))
+		q := n.Query(pt.Dict())
 		got := snap(k, Options{}).Estimate(q)
 		if !approx(got, float64(n.Card), 1e-9) {
-			t.Errorf("|%s| = %g, want %d", n.PathString(pt.Dict()), got, n.Card)
+			t.Errorf("|%s| = %g, want %d", q, got, n.Card)
 		}
 	})
 }

@@ -71,7 +71,7 @@ func TestStreamMatchesMaterializedOnWorkloads(t *testing.T) {
 
 	// All simple paths.
 	pb.Tree().Walk(func(n *pathtree.Node) {
-		q := xpath.MustParse(n.PathString(dict))
+		q := n.Query(dict)
 		want := snap(k, Options{}).Estimate(q)
 		got, ok := snap(k, Options{}).StreamEstimate(q)
 		if !ok || !approx(got, want, 1e-6*(1+want)) {

@@ -179,9 +179,9 @@ func TestPrecomputeFigure4EndToEnd(t *testing.T) {
 
 	// Simple paths become exact.
 	b.pt.Walk(func(n *pathtree.Node) {
-		q := xpath.MustParse(n.PathString(b.pt.Dict()))
+		q := n.Query(b.pt.Dict())
 		if got := estimateQ(b.k, with, q); !approx(got, float64(n.Card), 1e-9) {
-			t.Errorf("|%s| with HET = %g, want %d", n.PathString(b.pt.Dict()), got, n.Card)
+			t.Errorf("|%s| with HET = %g, want %d", q, got, n.Card)
 		}
 	})
 

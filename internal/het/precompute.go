@@ -175,21 +175,27 @@ func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt P
 			if len(cands) == 0 {
 				return
 			}
-			uPath := u.PathString(dict)
+			// Each candidate u[preds]/r is built from labels: its text
+			// would be as long as the document is deep, and xpath.Parse
+			// holds a query to a client's caps.
+			uSteps := u.Query(dict).Steps
 			emitted := 0
 			emit := func(preds []*pathtree.Node, r *pathtree.Node) bool {
 				if opt.MaxCandidatesPerNode > 0 && emitted >= opt.MaxCandidatesPerNode {
 					return false
 				}
 				emitted++
+				q := &xpath.Path{Steps: make([]xpath.Step, len(uSteps), len(uSteps)+1)}
+				copy(q.Steps, uSteps)
 				predLabels := make([]string, len(preds))
-				qs := uPath
+				predPaths := make([]*xpath.Path, len(preds))
 				for i, p := range preds {
 					predLabels[i] = dict.Name(p.Label)
-					qs += "[" + predLabels[i] + "]"
+					predPaths[i] = &xpath.Path{Steps: []xpath.Step{{Axis: xpath.Child, Label: predLabels[i]}}}
 				}
+				q.Steps[len(uSteps)-1].Preds = predPaths
 				rName := dict.Name(r.Label)
-				qs += "/" + rName
+				q.Steps = append(q.Steps, xpath.Step{Axis: xpath.Child, Label: rName})
 				parentName := dict.Name(u.Label)
 				h := pathhash.Pattern(parentName, predLabels, rName)
 				a := accs[h]
@@ -197,7 +203,6 @@ func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt P
 					a = &acc{parent: parentName, preds: predLabels, next: rName}
 					accs[h] = a
 				}
-				q := xpath.MustParse(qs)
 				actual := float64(ev.Count(q))
 				stats.NokEvaluations++
 				a.act += actual

@@ -10,9 +10,8 @@
 package pathtree
 
 import (
-	"strings"
-
 	"xseed/internal/xmldoc"
+	"xseed/internal/xpath"
 )
 
 // Node is a path tree node: one distinct rooted label path.
@@ -64,15 +63,17 @@ func (n *Node) Path() []xmldoc.LabelID {
 	return rev
 }
 
-// PathString renders the rooted path as an absolute XPath simple path, e.g.
-// "/a/c/s".
-func (n *Node) PathString(dict *xmldoc.Dict) string {
-	var sb strings.Builder
-	for _, id := range n.Path() {
-		sb.WriteByte('/')
-		sb.WriteString(dict.Name(id))
+// Query returns the rooted path as an absolute simple-path query, such as
+// /a/c/s. It is built from the labels, never parsed from text, so it has a
+// step for every level the document nests, however many more that is than
+// xpath.Parse takes from a client.
+func (n *Node) Query(dict *xmldoc.Dict) *xpath.Path {
+	ids := n.Path()
+	q := &xpath.Path{Steps: make([]xpath.Step, len(ids))}
+	for i, id := range ids {
+		q.Steps[i] = xpath.Step{Axis: xpath.Child, Label: dict.Name(id)}
 	}
-	return sb.String()
+	return q
 }
 
 // Tree is a document's path tree.

@@ -115,8 +115,8 @@ func TestPathAndString(t *testing.T) {
 	if n == nil {
 		t.Fatal("path not found")
 	}
-	if got := n.PathString(pt.Dict()); got != "/a/c/s/s" {
-		t.Errorf("PathString = %q, want /a/c/s/s", got)
+	if got := n.Query(pt.Dict()).String(); got != "/a/c/s/s" {
+		t.Errorf("Query = %q, want /a/c/s/s", got)
 	}
 	if got := n.Depth; got != 4 {
 		t.Errorf("Depth = %d, want 4", got)
@@ -149,14 +149,14 @@ func TestDepthsAndParents(t *testing.T) {
 			return
 		}
 		if n.Depth != n.Parent.Depth+1 {
-			t.Errorf("depth of %s = %d, parent %d", n.PathString(pt.Dict()), n.Depth, n.Parent.Depth)
+			t.Errorf("depth of %s = %d, parent %d", n.Query(pt.Dict()), n.Depth, n.Parent.Depth)
 		}
 		if n.ParentsWithChild > n.Parent.Card {
 			t.Errorf("ParentsWithChild %d exceeds parent card %d at %s",
-				n.ParentsWithChild, n.Parent.Card, n.PathString(pt.Dict()))
+				n.ParentsWithChild, n.Parent.Card, n.Query(pt.Dict()))
 		}
 		if n.ParentsWithChild <= 0 {
-			t.Errorf("ParentsWithChild = %d at %s, want > 0", n.ParentsWithChild, n.PathString(pt.Dict()))
+			t.Errorf("ParentsWithChild = %d at %s, want > 0", n.ParentsWithChild, n.Query(pt.Dict()))
 		}
 	})
 }

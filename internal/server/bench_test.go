@@ -530,9 +530,10 @@ func BenchmarkFeedbackBatchPublish(b *testing.B) {
 // commit per batch). Both sides ack only after their bytes are fsynced.
 // CI computes per-event throughput from ns/op (the batch side carries 64
 // events per op) and fails the bench job if batching is not >=3x faster.
-// The flush window is deliberately tiny: a sequential caller pays the full
-// window every op, and the production 2ms default would measure the timer,
-// not the write path.
+// The flush window is deliberately tiny: an idle store flushes at once, but
+// a sequential caller whose rounds start less than one window apart still
+// waits out the spacing between flushes, and the production 2ms default
+// would measure the timer, not the write path.
 func BenchmarkFeedbackDurable(b *testing.B) {
 	run := func(b *testing.B, fsync string, batch int) {
 		s, err := New(Config{

@@ -33,7 +33,7 @@ func (v *fsyncModeValue) Set(s string) error {
 
 func fsyncFlag(fs *flag.FlagSet) *fsyncModeValue {
 	v := &fsyncModeValue{}
-	fs.Var(v, "store-fsync", "delta-log durability `mode`: off (default; survives process crashes), batch (group commit: one fsync per -store-batch-latency window, ack after durable), or every (fsync per append)")
+	fs.Var(v, "store-fsync", "delta-log durability `mode`: off (default; survives process crashes), batch (group commit: an idle store fsyncs at once, a busy one at most once per -store-batch-latency; ack after durable), or every (fsync per append)")
 	return v
 }
 
@@ -54,7 +54,7 @@ func RunCLI(name string, args []string) error {
 	compactRatio := fs.Float64("store-compact-ratio", 0, "compact when delta log exceeds this ratio of the base snapshot (0 = default 0.5)")
 	compactIvl := fs.Duration("store-compact-interval", 0, "background compaction check interval (0 = default 15s)")
 	storeFsync := fsyncFlag(fs)
-	batchLatency := fs.Duration("store-batch-latency", 0, "max extra latency a -store-fsync=batch record waits for its group fsync (0 = default 2ms)")
+	batchLatency := fs.Duration("store-batch-latency", 0, "spacing of -store-fsync=batch flushes while the store is busy, so the most a record waits before its group fsync starts; a record enqueued into an idle store does not wait (0 = default 2ms)")
 	fsck := fs.Bool("store-fsck", false, "validate -store-dir (manifest, snapshot loads, delta checksums and replay), print a report, and exit")
 	tenantsFile := fs.String("tenants", "", "enable multi-tenant mode: JSON file of [{\"id\",\"token\",\"budgetBytes\",\"cacheQuota\",\"ratePerSec\",\"burst\"}] tenant configs (empty = single-tenant)")
 	clusterFile := fs.String("cluster", "", "cluster topology JSON file (replicas, router, nodes); requires -cluster-node or -router")

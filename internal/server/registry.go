@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -1190,6 +1191,9 @@ func (r *Registry) Feedback(name, query string, actual float64) error {
 	if err != nil {
 		return err
 	}
+	if err := checkActual(actual); err != nil {
+		return err
+	}
 	q, err := xseed.ParseQuery(query)
 	if err != nil {
 		return api.WrapError(err, api.CodeBadRequest)
@@ -1218,6 +1222,17 @@ func (r *Registry) Feedback(name, query string, actual float64) error {
 	e.feedbacks.Add(1)
 	if op.err != nil {
 		return op.err
+	}
+	return nil
+}
+
+// checkActual rejects an actual cardinality that is NaN, infinite or
+// negative. Such a value would become a card the synopsis serves, and one
+// its log cannot hold (JSON has no NaN or infinity), so the served synopsis
+// and what a restart or a standby rebuilds would part.
+func checkActual(actual float64) *api.Error {
+	if math.IsNaN(actual) || math.IsInf(actual, 0) || actual < 0 {
+		return api.Errorf(api.CodeBadRequest, "actual cardinality %v is not a finite count >= 0", actual)
 	}
 	return nil
 }
@@ -1267,13 +1282,16 @@ func (r *Registry) runFeedback(e *Entry, st *store.Store, ops []*fbOp) {
 
 // drainFeedback is the publisher side of the coalescing queue: under the
 // entry lock it repeatedly takes the whole queue, applies every delta with
-// publication deferred, enqueues each applied delta's log record inside the
-// same critical section (log order = apply order — replicated standbys
-// depend on it), and publishes at most one successor snapshot per round:
-// none when the round only confirmed values the snapshot already answers.
+// publication deferred, enqueues the round's applied deltas as one log batch
+// inside the same critical section (log order = apply order — replicated
+// standbys depend on it), and publishes at most one successor snapshot per
+// round: none when the round only confirmed values the snapshot already
+// answers.
 func (r *Registry) drainFeedback(e *Entry, st *store.Store) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	var applied []*fbOp
+	var deltas []xseed.HETDelta
 	for {
 		e.fbMu.Lock()
 		batch := e.fbQueue
@@ -1284,35 +1302,57 @@ func (r *Registry) drainFeedback(e *Entry, st *store.Store) {
 			return
 		}
 		e.fbMu.Unlock()
-		applied := 0
+		applied, deltas = applied[:0], deltas[:0]
 		for _, op := range batch {
 			var delta xseed.HETDelta
 			op.est, delta, op.applied = e.syn.FeedbackQueryDeltaDeferred(op.q, op.actual)
 			if !op.applied {
 				continue
 			}
-			applied++
 			e.invalidate()
-			if st != nil && !e.retired.Load() {
-				// A retired entry (replaced or deleted while this op was in
-				// flight) skips the append — the log belongs to its successor.
-				if p, perr := st.AppendFeedbackEnq(e.name, delta); perr != nil {
-					op.err = api.WrapError(perr, api.CodeInternal)
-				} else {
-					op.pend = p
-				}
-			}
+			applied = append(applied, op)
+			deltas = append(deltas, delta)
 		}
-		if applied > 0 {
+		// A retired entry (replaced or deleted while this round was in
+		// flight) skips the append — the log belongs to its successor.
+		if st != nil && len(deltas) > 0 && !e.retired.Load() {
+			logRound(st, e.name, applied, deltas)
+		}
+		if len(applied) > 0 {
 			before := e.syn.Snapshot()
 			e.syn.Publish()
-			r.obs.fbApplied.Add(uint64(applied))
+			r.obs.fbApplied.Add(uint64(len(applied)))
 			if e.syn.Snapshot() != before {
 				r.obs.fbPublishes.Inc()
 			}
 		}
 		for _, op := range batch {
 			close(op.done)
+		}
+	}
+}
+
+// logRound enqueues one drain round's applied deltas, ops[i]'s being
+// deltas[i], with one store call: every op shares the round's Pending, so
+// the round reaches the log in one flush. The call persists all of them or
+// none; when it fails, the deltas go again one by one, so that a delta that
+// cannot be encoded fails only its own op.
+func logRound(st *store.Store, name string, ops []*fbOp, deltas []xseed.HETDelta) {
+	p, err := st.AppendFeedbackEnq(name, deltas...)
+	if err != nil && len(deltas) > 1 {
+		for i, d := range deltas {
+			ops[i].pend, err = st.AppendFeedbackEnq(name, d)
+			if err != nil {
+				ops[i].err = api.WrapError(err, api.CodeInternal)
+			}
+		}
+		return
+	}
+	for _, op := range ops {
+		if err != nil {
+			op.err = api.WrapError(err, api.CodeInternal)
+		} else {
+			op.pend = p
 		}
 	}
 }
@@ -1334,6 +1374,9 @@ func (r *Registry) FeedbackBatch(name string, items []api.FeedbackItem) ([]*api.
 		// observations lock-free against the current snapshot.
 		sn := e.syn.Snapshot()
 		for i, it := range items {
+			if out[i] = checkActual(it.Actual); out[i] != nil {
+				continue
+			}
 			q, perr := xseed.ParseQuery(it.Query)
 			if perr != nil {
 				out[i] = api.WrapError(perr, api.CodeBadRequest)
@@ -1354,6 +1397,9 @@ func (r *Registry) FeedbackBatch(name string, items []api.FeedbackItem) ([]*api.
 	ops := make([]*fbOp, 0, len(items))
 	idx := make([]int, 0, len(items))
 	for i, it := range items {
+		if out[i] = checkActual(it.Actual); out[i] != nil {
+			continue
+		}
 		q, perr := xseed.ParseQuery(it.Query)
 		if perr != nil {
 			out[i] = api.WrapError(perr, api.CodeBadRequest)

@@ -55,8 +55,11 @@ type Config struct {
 	StoreCompactInterval time.Duration
 	StoreFsync           string
 
-	// StoreBatchLatency bounds how long a group-committed record may wait
-	// for its batch's fsync with StoreFsync "batch" (0 = store default 2ms).
+	// StoreBatchLatency spaces group-commit flushes with StoreFsync "batch":
+	// while the store is busy, a flush starts this long after the one
+	// before, so it bounds how long a record waits before its batch's fsync
+	// starts; a record enqueued into an idle store is flushed at once
+	// (0 = store default 2ms).
 	StoreBatchLatency time.Duration
 
 	// PprofAddr, when non-empty, serves net/http/pprof on a second,

@@ -43,6 +43,13 @@ func startXTP(t testing.TB, om *obs.Registry) (*Registry, string) {
 	if _, err := reg.Add("fig2", syn, "test"); err != nil {
 		t.Fatal(err)
 	}
+	return reg, serveXTP(t, reg, om)
+}
+
+// serveXTP serves the binary protocol over reg on a loopback listener until
+// the test ends, then closes reg, and returns the listener's address.
+func serveXTP(t testing.TB, reg *Registry, om *obs.Registry) string {
+	t.Helper()
 	x := NewXTP(reg, XTPOptions{Metrics: om})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -61,7 +68,7 @@ func startXTP(t testing.TB, om *obs.Registry) (*Registry, string) {
 		}
 		reg.Close()
 	})
-	return reg, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // dialRaw opens a handshaked raw-frame connection — tests drive the wire
@@ -177,10 +184,37 @@ func TestXTPDeeplyNestedQuery(t *testing.T) {
 	}
 }
 
+// TestXTPFlatQueryOverStepCap: a flat query of 15 MiB is a per-item
+// parse_error at the step past the cap, and its parse allocates nothing
+// for its length: the whole exchange, both ends of it in this process,
+// allocates a few copies of the query, where a parse of it would take some
+// 160 bytes per byte. The connection then answers a Ping.
+func TestXTPFlatQueryOverStepCap(t *testing.T) {
+	_, addr := startXTP(t, nil)
+	c, r, w := dialRaw(t, addr)
+	c.SetDeadline(time.Now().Add(60 * time.Second))
+	q := strings.Repeat("/a", 15<<19) // 15 MiB
+	req := wire.AppendEstimateReq(nil, "fig2", []string{q}, false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := exchange(t, r, w, wire.FrameEstimateReq, 1, req)
+	it := parseErrorItem(t, f, 2*xpath.MaxSteps)
+	runtime.ReadMemStats(&after)
+	if it.Query != q {
+		t.Fatalf("item echoes a %d-byte query, want the %d-byte request", len(it.Query), len(q))
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 8*uint64(len(q)) {
+		t.Errorf("the exchange allocated %d bytes for a %d-byte query", n, len(q))
+	}
+	if f := exchange(t, r, w, wire.FramePing, 2, nil); f.Type != wire.FramePong {
+		t.Fatalf("ping answered with %s", f.Type)
+	}
+}
+
 // TestXTPOverLimitResponse: a request whose response would not fit in one
 // frame gets an Error frame naming the size and the limit, and the
 // connection stays usable. A malformed query of megabytes fits, whether
-// its error lies at its end or before a long unparsed tail, since its
+// its error lies at the byte cap or before a long unparsed tail, since its
 // parse error quotes only excerpts of it; so does one of bytes that are
 // not UTF-8, whose excerpt must stop at the query's start. A batch of
 // 250,000 short malformed queries, each answered with a parse error 20
@@ -196,7 +230,7 @@ func TestXTPOverLimitResponse(t *testing.T) {
 		q      string
 		offset int
 	}{
-		{unterminated, len(unterminated)},
+		{unterminated, xpath.MaxQueryBytes},
 		{"/a]" + strings.Repeat("a", 9_400_000), len("/a")},
 		{strings.Repeat("\x80", 65), 0},
 	} {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,6 +48,25 @@ func batchFeedback(t testing.TB, st *Store, synMu *sync.Mutex, syn *xseed.Synops
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// enqFeedback applies one feedback to syn and enqueues its delta for
+// "fig2", returning the record's durability handle.
+func enqFeedback(t testing.TB, st *Store, syn *xseed.Synopsis, query string, actual float64) *Pending {
+	t.Helper()
+	q, err := xseed.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, delta, applied := syn.FeedbackQueryDelta(q, actual)
+	if !applied {
+		t.Fatalf("feedback %s not applied", query)
+	}
+	p, err := st.AppendFeedbackEnq("fig2", delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestGroupCommitAckedSurviveCrash is the durability contract of
@@ -142,7 +162,8 @@ func storeCounterValue(t testing.TB, om *obs.Registry, name string) uint64 {
 // waiter that hangs or reports nil on a failed flush would tell it.
 func TestGroupCommitFlushErrorFansOut(t *testing.T) {
 	dir := t.TempDir()
-	// A very long window so the flush happens only when we force it.
+	// A very long window: an idle store flushes its first append at once,
+	// and the spacing then holds the next records until we force the flush.
 	st, err := Open(dir, Options{Fsync: FsyncBatch, BatchLatency: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -152,23 +173,11 @@ func TestGroupCommitFlushErrorFansOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	enq := func(query string, actual float64) *Pending {
-		q, err := xseed.ParseQuery(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, delta, applied := syn.FeedbackQueryDelta(q, actual)
-		if !applied {
-			t.Fatalf("feedback %s not applied", query)
-		}
-		p, err := st.AppendFeedbackEnq("fig2", delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	if err := enqFeedback(t, st, syn, "/a/c/t", 3).Wait(); err != nil {
+		t.Fatal(err)
 	}
-	p1 := enq("/a/c/s", 5)
-	p2 := enq("/a/c/p", 7)
+	p1 := enqFeedback(t, st, syn, "/a/c/s", 5)
+	p2 := enqFeedback(t, st, syn, "/a/c/p", 7)
 
 	// Sabotage the log fd underneath the pending batch, then force the
 	// flush directly (the committer would do the same at window end).
@@ -261,5 +270,99 @@ func TestGroupCommitStandbyLogByteIdentical(t *testing.T) {
 	pb, sb := logBytes(pdir), logBytes(sdir)
 	if !bytes.Equal(pb, sb) {
 		t.Fatalf("standby log diverges from batched primary: %d vs %d bytes", len(sb), len(pb))
+	}
+}
+
+// TestGroupCommitIdleFlush: an append to an idle store is flushed at once,
+// not after a batch window, while one made right after that flush waits
+// out the spacing, and Close flushes it. The window here is an hour, so
+// only the idle rule can ack the first append in time.
+func TestGroupCommitIdleFlush(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Fsync: FsyncBatch, BatchLatency: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := buildFig2(t)
+	if err := st.SaveBase("fig2", syn, "test", time.Now(), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	first := enqFeedback(t, st, syn, "/a/c/s", 5)
+	select {
+	case <-first.done:
+		if err := first.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an idle store's first append is still pending after 10s")
+	}
+
+	second := enqFeedback(t, st, syn, "/a/c/p", 7)
+	select {
+	case <-second.done:
+		t.Fatal("an append right after a flush did not wait for the spacing")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Wait(); err != nil {
+		t.Fatalf("Close settled the pending append with %v", err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	loaded, err := st2.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != 1 || loaded[0].Replay != 2 {
+		t.Fatalf("recovered %+v, want both records", loaded)
+	}
+}
+
+// TestAppendFeedbackRoundAllOrNothing: a round whose deltas cannot all be
+// encoded persists none of them, in every fsync mode, so a caller can send
+// the round again delta by delta without logging any twice; a round that
+// encodes lands whole.
+func TestAppendFeedbackRoundAllOrNothing(t *testing.T) {
+	for _, mode := range []FsyncMode{FsyncOff, FsyncBatch, FsyncEvery} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, Options{Fsync: mode, BatchLatency: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SaveBase("fig2", buildFig2(t), "test", time.Now(), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			good := xseed.HETDelta{Hash: 1, Card: 5}
+			if _, err := st.AppendFeedbackEnq("fig2", good, xseed.HETDelta{Hash: 2, Card: math.NaN()}, good); err == nil {
+				t.Fatal("a round with an unencodable delta was accepted")
+			}
+			if _, size, _ := st.Tail("fig2"); size != 0 {
+				t.Fatalf("the failed round left %d bytes in the log", size)
+			}
+			p, err := st.AppendFeedbackEnq("fig2", good, xseed.HETDelta{Hash: 2, Card: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2 := openStore(t, dir)
+			defer st2.Close()
+			loaded, err := st2.LoadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(loaded) != 1 || loaded[0].Replay != 2 {
+				t.Fatalf("recovered %+v, want the 2 records of the good round", loaded)
+			}
+		})
 	}
 }

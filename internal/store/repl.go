@@ -261,20 +261,12 @@ func (st *Store) AppendSegment(name string, seq uint64, off int64, data []byte) 
 		return 0, 0, fmt.Errorf("store: synopsis %q has no open log", name)
 	}
 	start := time.Now()
-	if _, err := s.log.Write(data); err != nil {
-		st.m.appendErrs.Inc()
-		return 0, 0, fmt.Errorf("store: append segment for %q: %w", name, err)
-	}
 	// Segments are already sender-side batches, so a durable standby syncs
-	// them inline even in batch mode — no extra window buys anything.
-	if st.opts.Fsync != FsyncOff {
-		fstart := time.Now()
-		if err := s.log.Sync(); err != nil {
-			st.m.appendErrs.Inc()
-			return 0, 0, err
-		}
-		st.m.fsyncs.Inc()
-		st.m.fsyncNs.Observe(time.Since(fstart).Nanoseconds())
+	// them inline even in batch mode — no extra window buys anything. A
+	// failed segment leaves the log at s.logSize, where the retransmit
+	// lands.
+	if err := st.writeLocked(s, data, st.opts.Fsync != FsyncOff); err != nil {
+		return 0, 0, fmt.Errorf("store: append segment for %q: %w", name, err)
 	}
 	st.m.appends.Add(uint64(res.Records))
 	st.m.appendBytes.Add(uint64(len(data)))

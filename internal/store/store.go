@@ -43,13 +43,16 @@ const (
 
 	// FsyncBatch group-commits: appends enqueue into a per-synopsis buffer
 	// and a store-wide committer goroutine flushes each buffer with one
-	// write + one fsync per batch window (Options.BatchLatency). Callers
-	// block until their record's batch is durable, so the ack contract
-	// matches FsyncEvery while fsyncs/record drops by the batch factor.
+	// write + one fsync. An append to an idle store is flushed at once;
+	// while the store is busy, flushes start Options.BatchLatency apart, so
+	// the appends made meanwhile share the next fsync. Callers block until
+	// their record's batch is durable, so the ack contract matches
+	// FsyncEvery while fsyncs/record drops by the batch factor.
 	FsyncBatch
 
-	// FsyncEvery syncs after every append — machine-crash durable, but
-	// feedback-heavy traffic pays one fsync per mutation.
+	// FsyncEvery syncs after every append call — machine-crash durable,
+	// but feedback-heavy traffic pays one fsync per feedback round, and
+	// other mutations one each.
 	FsyncEvery
 )
 
@@ -93,8 +96,11 @@ type Options struct {
 	// FsyncOff.
 	Fsync FsyncMode
 
-	// BatchLatency bounds how long a FsyncBatch record may wait before its
-	// batch is flushed. <= 0 means the default 2ms. Ignored in other modes.
+	// BatchLatency spaces FsyncBatch flushes: one starts at least
+	// BatchLatency after the one before, so it bounds how long a record
+	// waits before its batch's fsync starts. A record enqueued when no flush
+	// has started within the last BatchLatency does not wait at all. <= 0
+	// means the default 2ms. Ignored in other modes.
 	BatchLatency time.Duration
 
 	// Log receives recovery and compaction events. Nil discards them.
@@ -560,15 +566,26 @@ func (st *Store) AppendFeedback(name string, d xseed.HETDelta) error {
 	return p.Wait()
 }
 
-// AppendFeedbackEnq is AppendFeedback split for group commit: it enqueues
-// the record (inside the caller's apply-order critical section, so log order
-// matches apply order) and returns a Pending handle the caller waits on
-// AFTER leaving that critical section — blocking a hot synopsis's entry lock
-// for a whole batch window would cap it at 1/BatchLatency events/sec. In
-// non-batch modes the append is already durable on return and the handle's
-// Wait is free.
-func (st *Store) AppendFeedbackEnq(name string, d xseed.HETDelta) (*Pending, error) {
-	return st.appendEnq(name, deltaRecord{Op: opFeedback, HET: &d})
+// AppendFeedbackEnq is AppendFeedback split for group commit, for a round
+// of deltas: it persists them as consecutive records in order, inside the
+// caller's apply-order critical section so that log order matches apply
+// order, and returns one Pending the caller waits on AFTER leaving that
+// critical section — holding a hot synopsis's entry lock across the fsync
+// would cap it at one round per flush. It persists every delta or, on an
+// error, none: each record is encoded before any is written or enqueued. In
+// FsyncBatch mode the records join the pending batch under one lock, so a
+// flush never splits the round; in the other modes they reach the log in
+// one write (and in FsyncEvery one fsync), durable on return, and the
+// handle's Wait is free.
+func (st *Store) AppendFeedbackEnq(name string, ds ...xseed.HETDelta) (*Pending, error) {
+	if len(ds) == 0 {
+		return settled, nil
+	}
+	recs := make([]deltaRecord, len(ds))
+	for i := range ds {
+		recs[i] = deltaRecord{Op: opFeedback, HET: &ds[i]}
+	}
+	return st.appendEnq(name, recs...)
 }
 
 // AppendSubtree persists an incremental subtree add or remove.
@@ -593,18 +610,22 @@ func (st *Store) append(name string, rec deltaRecord) error {
 	return p.Wait()
 }
 
-// appendEnq persists one record. In FsyncBatch mode it enqueues the encoded
-// record for the committer and returns a live Pending; otherwise it writes
-// (and in FsyncEvery syncs) immediately and returns an already-settled
-// handle.
-func (st *Store) appendEnq(name string, rec deltaRecord) (*Pending, error) {
+// appendEnq persists recs as consecutive records, all of them or none. In
+// FsyncBatch mode it enqueues them for the committer and returns a live
+// Pending; otherwise it writes them with one write (and in FsyncEvery one
+// fsync) and returns an already-settled handle.
+func (st *Store) appendEnq(name string, recs ...deltaRecord) (*Pending, error) {
 	s, err := st.syn(name)
 	if err != nil {
 		return nil, err
 	}
-	buf, err := encodeRecord(rec)
-	if err != nil {
-		return nil, err
+	var buf []byte
+	for _, rec := range recs {
+		b, err := encodeRecord(rec)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, b...)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -615,30 +636,20 @@ func (st *Store) appendEnq(name string, rec deltaRecord) (*Pending, error) {
 	if st.cm != nil {
 		p := &Pending{done: make(chan struct{})}
 		s.pending = append(s.pending, buf...)
-		s.pendingN++
+		s.pendingN += len(recs)
 		s.waiters = append(s.waiters, p)
 		st.cm.markDirty(s)
 		return p, nil
 	}
 	start := time.Now()
-	if _, err := s.log.Write(buf); err != nil {
-		st.m.appendErrs.Inc()
-		return nil, fmt.Errorf("store: append %s delta for %q: %w", rec.Op, name, err)
+	if err := st.writeLocked(s, buf, st.opts.Fsync == FsyncEvery); err != nil {
+		return nil, fmt.Errorf("store: append %s delta for %q: %w", recs[0].Op, name, err)
 	}
-	if st.opts.Fsync == FsyncEvery {
-		fstart := time.Now()
-		if err := s.log.Sync(); err != nil {
-			st.m.appendErrs.Inc()
-			return nil, err
-		}
-		st.m.fsyncs.Inc()
-		st.m.fsyncNs.Observe(time.Since(fstart).Nanoseconds())
-	}
-	st.m.appends.Inc()
+	st.m.appends.Add(uint64(len(recs)))
 	st.m.appendBytes.Add(uint64(len(buf)))
 	st.m.appendNs.Observe(time.Since(start).Nanoseconds())
 	s.logSize += int64(len(buf))
-	s.deltaCount++
+	s.deltaCount += int64(len(recs))
 	return settled, nil
 }
 

@@ -88,11 +88,7 @@ func AllSimplePaths(pt *pathtree.Tree, max int) []Query {
 		if max > 0 && len(out) >= max {
 			return
 		}
-		q, err := xpath.Parse(n.PathString(pt.Dict()))
-		if err != nil {
-			return // cannot happen for path tree labels
-		}
-		out = append(out, Query{Path: q, Class: xpath.SimplePath, Actual: n.Card})
+		out = append(out, Query{Path: n.Query(pt.Dict()), Class: xpath.SimplePath, Actual: n.Card})
 	})
 	if max > 0 && len(out) > max {
 		out = out[:max]

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzParseRoundTrip: any input that parses renders to text that parses
-// back to the same tree, renders the same and classifies the same. Compiled
-// query plans keep only that text and rebuild their parse tree from it.
+// FuzzParseRoundTrip: any input that parses renders to text that Reparse
+// takes back to the same tree, which renders the same and classifies the
+// same. Compiled query plans keep only that text and rebuild their parse
+// tree from it.
 // Any input that does not parse gets an error message, short when the
 // input is long: the servers put it in a response.
 func FuzzParseRoundTrip(f *testing.F) {
@@ -21,6 +22,12 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"/a" + strings.Repeat("[b", MaxNesting) + strings.Repeat("]", MaxNesting),
 		"/a" + strings.Repeat("[.//b", MaxNesting+1) + strings.Repeat("]", MaxNesting+1),
 		strings.Repeat("\x80", maxQuote+1), "/a]" + strings.Repeat("\x80", 2*maxQuote),
+		// At and past the caps, and renderings that grow past the byte cap.
+		strings.Repeat("/a", MaxSteps), strings.Repeat("/a", MaxSteps+1),
+		"/a" + strings.Repeat("[b]", MaxSteps), "/" + strings.Repeat("a", MaxQueryBytes),
+		"/" + strings.Repeat("a", MaxQueryBytes-7) + "[//b]",
+		"/" + strings.Repeat("a", MaxQueryBytes-6) + "[//b]",
+		"/" + strings.Repeat("a", MaxQueryBytes-5) + "[.]",
 	} {
 		f.Add(s)
 	}
@@ -35,7 +42,7 @@ func FuzzParseRoundTrip(f *testing.F) {
 			return
 		}
 		s := p.String()
-		q, err := Parse(s)
+		q, err := Reparse(s)
 		if err != nil {
 			t.Fatalf("%q renders %q, which does not parse: %v", in, s, err)
 		}

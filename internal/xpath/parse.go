@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode/utf8"
 )
@@ -11,6 +12,26 @@ import (
 // per level, so an unbounded depth would let one query exhaust a
 // goroutine's stack, which no caller can recover from.
 const MaxNesting = 64
+
+// MaxQueryBytes and MaxSteps bound one query from outside the program, so
+// that what its parse allocates, about 160 bytes per input byte for a flat
+// path, and the text a compiled plan keeps cannot grow with whatever a
+// client sends. Over the xmark, treebank and dblp datasets at factor 0.01,
+// seeds 1 and 2, every simple path plus 1,000 BP and 1,000 CP queries at
+// each of 1, 2 and 3 predicates per step make 50,709 queries. The longest
+// is 201 bytes and the one with the most steps has 52, both from treebank,
+// so 4 KiB and 256 steps leave margins of 20× and 4.9×. Parse holds a query
+// to both: one over either gets a ParseError at the first byte past the
+// cap, unless an error comes earlier. Paths the program builds from a
+// document's labels are as long as the document is deep, so they are never
+// rendered and parsed back through Parse; Reparse has no caps.
+const (
+	// MaxQueryBytes bounds a query's length.
+	MaxQueryBytes = 4096
+
+	// MaxSteps bounds a query's steps, its predicates' steps included.
+	MaxSteps = 256
+)
 
 // maxQuote bounds what a ParseError's message quotes of its input: a
 // longer input is quoted as an excerpt around the error, and a longer
@@ -61,14 +82,35 @@ func excerpt(s string, lo int) string {
 //	relpath := ['.//' | '//'] step (('/' | '//') step)*
 //
 // Inside predicates the leading axis defaults to child; a leading ".//" (or
-// "//", accepted as a convenience) selects the descendant axis.
+// "//", accepted as a convenience) selects the descendant axis. Parse is
+// for query text from outside the program and holds it to MaxQueryBytes
+// and MaxSteps.
 func Parse(input string) (*Path, error) {
+	return parse(input, min(len(input), MaxQueryBytes), MaxSteps)
+}
+
+// Reparse is Parse without MaxQueryBytes and MaxSteps, for text the program
+// rendered itself with Path.String: the rendering of any Path that Parse
+// returned or that the program built from labels parses back to the same
+// tree, however long it is.
+func Reparse(input string) (*Path, error) {
+	return parse(input, len(input), math.MaxInt)
+}
+
+// parse parses input up to byte end and up to maxSteps steps.
+func parse(input string, end, maxSteps int) (*Path, error) {
 	// 32 steps hold every simple path of the treebank dataset, the deepest
 	// (31 steps, 14.2 on average at factor 0.01); a longer path grows its
 	// buffer on the heap by append.
 	var steps [32]Step
-	p := parser{in: input}
+	p := parser{in: input, end: end, maxSteps: maxSteps}
 	path, err := p.parsePath(false, steps[:0])
+	if p.end < len(p.in) && p.pos >= p.end {
+		// The parse stopped at the byte cap, wherever that was in the
+		// grammar, so whatever error it reports there is the cap's.
+		p.pos = p.end
+		return nil, p.errf("query longer than %d bytes", p.end)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -93,16 +135,19 @@ func MustParse(input string) *Path {
 }
 
 type parser struct {
-	in    string
-	pos   int
-	depth int // predicates open at pos
+	in       string
+	pos      int
+	end      int // where the parse stops reading: the input's end or the byte cap
+	depth    int // predicates open at pos
+	nsteps   int // steps begun, predicates' steps included
+	maxSteps int
 }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{Input: p.in, Pos: p.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) eof() bool { return p.pos >= len(p.in) }
+func (p *parser) eof() bool { return p.pos >= p.end }
 
 func (p *parser) peek() byte {
 	if p.eof() {
@@ -193,6 +238,7 @@ func (p *parser) parseStep(axis Axis) (Step, error) {
 // buffer, and the path gets a copy of exactly their length.
 func (p *parser) parsePath(relative bool, steps []Step) (*Path, error) {
 	for first := true; ; first = false {
+		start := p.pos
 		var ax Axis
 		if first && relative {
 			// Optional ".//" or "//" prefix selects descendant; "./" is
@@ -217,6 +263,11 @@ func (p *parser) parsePath(relative bool, steps []Step) (*Path, error) {
 				break
 			}
 		}
+		if p.nsteps == p.maxSteps {
+			p.pos = start
+			return nil, p.errf("more than %d steps", p.maxSteps)
+		}
+		p.nsteps++
 		st, err := p.parseStep(ax)
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package xpath
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,7 +156,7 @@ func TestParseErrorQuotesExcerpt(t *testing.T) {
 	if want := `xpath: parse "/a]b" at offset 2: unexpected "]b"`; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %s", err, want)
 	}
-	unterminated := "/" + strings.Repeat("é", 1<<20) + "["
+	unterminated := "/" + strings.Repeat("é", MaxQueryBytes/2-1) + "[" // at the byte cap
 	trailing := "/a]" + strings.Repeat("x", 1<<20)
 	for _, tc := range []struct {
 		in   string
@@ -179,6 +180,59 @@ func TestParseErrorQuotesExcerpt(t *testing.T) {
 			if !strings.Contains(msg, w) {
 				t.Errorf("%d-byte query: message %.300q does not contain %q", len(tc.in), msg, w)
 			}
+		}
+	}
+}
+
+// TestParseCaps: a query may be MaxQueryBytes long and hold MaxSteps steps,
+// predicates' steps included; one byte or one step more is a ParseError at
+// the first byte past the cap, however long the rest of the query is.
+// Reparse, for text the program rendered itself, takes every one of them.
+func TestParseCaps(t *testing.T) {
+	name := func(n int) string { return "/" + strings.Repeat("a", n-1) } // one step, n bytes
+	preds := func(n int) string { return "/a" + strings.Repeat("[b]", n) }
+	for _, tc := range []struct {
+		in     string
+		offset int // of the error; -1: parses
+	}{
+		{name(MaxQueryBytes), -1},
+		{name(MaxQueryBytes + 1), MaxQueryBytes},
+		{name(1 << 24), MaxQueryBytes},
+		{strings.Repeat("/a", MaxSteps), -1},
+		{strings.Repeat("/a", MaxSteps+1), 2 * MaxSteps},
+		{strings.Repeat("/a", 1<<23), 2 * MaxSteps},
+		{preds(MaxSteps - 1), -1},
+		{preds(MaxSteps), len(preds(MaxSteps-1)) + 1}, // the b past the cap
+		// A prefix that reads across the cap stops at it.
+		{name(MaxQueryBytes-2) + "[.//b]", MaxQueryBytes},
+		// "//" opening a predicate renders as ".//", one byte more: a query
+		// at the cap may render past it.
+		{name(MaxQueryBytes-5) + "[//b]", -1},
+		// An error before the cap is reported as it is.
+		{"/a]" + name(MaxQueryBytes), 2},
+	} {
+		q, err := Parse(tc.in)
+		if tc.offset >= 0 {
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Errorf("%d-byte query: err = %v, want a *ParseError", len(tc.in), err)
+			} else if pe.Pos != tc.offset {
+				t.Errorf("%d-byte query: error at offset %d, want %d: %v", len(tc.in), pe.Pos, tc.offset, err)
+			}
+			if tc.offset == 2 || len(tc.in) > 4*MaxQueryBytes {
+				continue // a syntax error, or too long to parse whole cheaply
+			}
+			if q, err = Reparse(tc.in); err != nil {
+				t.Errorf("%d-byte query: Reparse: %v", len(tc.in), err)
+				continue
+			}
+		} else if err != nil {
+			t.Errorf("%d-byte query: %v", len(tc.in), err)
+			continue
+		}
+		s := q.String()
+		if r, err := Reparse(s); err != nil || !reflect.DeepEqual(r, q) {
+			t.Errorf("%d-byte query renders %d bytes that Reparse does not take back: %v", len(tc.in), len(s), err)
 		}
 	}
 }

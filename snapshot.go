@@ -84,8 +84,8 @@ func (sn *Snapshot) Compile(q *Query) *Plan {
 // layer caches per query so repeat queries skip parse + compile. What needs
 // the parse tree — recompiling after the dictionary grew, and RunStreaming
 // when the caller no longer holds the query — re-parses the normalized
-// text, which always parses back to the tree it was rendered from. Plans
-// are safe for concurrent Run calls.
+// text, which always parses back to the tree it was rendered from (see
+// mustReparse). Plans are safe for concurrent Run calls.
 type Plan struct {
 	norm string
 	ep   atomic.Pointer[estimate.Plan]
@@ -108,9 +108,21 @@ func (p *Plan) plan(sn *Snapshot) *estimate.Plan {
 	if ep := p.ep.Load(); ep.CompatibleWith(sn.es) {
 		return ep
 	}
-	ep := estimate.Compile(xpath.MustParse(p.norm), sn.es.Dict())
+	ep := estimate.Compile(mustReparse(p.norm), sn.es.Dict())
 	p.ep.Store(ep)
 	return ep
+}
+
+// mustReparse rebuilds a plan's parse tree from its normalized text. The
+// text is the rendering of a parse tree, maybe one built from a document's
+// labels past the caps on a client's query, and xpath.Reparse, which has no
+// caps, takes every rendering back.
+func mustReparse(norm string) *xpath.Path {
+	q, err := xpath.Reparse(norm)
+	if err != nil {
+		panic(err)
+	}
+	return q
 }
 
 // Run estimates the compiled query against the snapshot.
@@ -123,7 +135,7 @@ func (p *Plan) Run(sn *Snapshot) float64 {
 // was compiled from, or nil to re-parse p's normalized text.
 func (p *Plan) RunStreaming(sn *Snapshot, q *Query) (est float64, streamed bool) {
 	if q == nil {
-		q = &Query{p: xpath.MustParse(p.norm)}
+		q = &Query{p: mustReparse(p.norm)}
 	}
 	if v, ok := sn.es.StreamEstimate(q.p); ok {
 		return v, true

@@ -612,6 +612,87 @@ func TestWorkloadAPI(t *testing.T) {
 	}
 }
 
+// TestDocumentPastQueryCaps: a document may nest deeper, and its rooted
+// paths run longer, than a client's query may (xpath.MaxSteps,
+// xpath.MaxQueryBytes). Every query the program builds from such a
+// document's labels still works: the 1BP hyper-edge candidates counted
+// while the synopsis builds (p has one child x among eleven, below the
+// default 0.1 bsel threshold, so p[x]/y is one), the simple-path workload,
+// the generated BP workload, and compiled plans that rebuild their parse
+// tree from their normalized text.
+func TestDocumentPastQueryCaps(t *testing.T) {
+	nested := func(labels []string) string {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for _, l := range labels {
+			b.WriteString("<" + l + ">")
+		}
+		b.WriteString(strings.Repeat("<p><y/></p>", 10) + "<p><x/><y/></p>")
+		for i := len(labels) - 1; i >= 0; i-- {
+			b.WriteString("</" + labels[i] + ">")
+		}
+		b.WriteString("</r>")
+		return b.String()
+	}
+	labels := func(n int, name func(i int) string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = name(i)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		labels []string
+	}{
+		{"300 levels", labels(300, func(i int) string { return fmt.Sprintf("a%d", i) })},
+		{"50 levels of 90-byte names", labels(50, func(i int) string { return fmt.Sprintf("%s%02d", strings.Repeat("n", 88), i) })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := ParseXMLString(nested(tc.labels))
+			if err != nil {
+				t.Fatal(err)
+			}
+			syn, err := BuildSynopsis(d, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := d.SimplePathQueries(0)
+			if len(sp) != d.Stats().PathCount {
+				t.Fatalf("%d simple paths, want all %d", len(sp), d.Stats().PathCount)
+			}
+			bp, err := d.RandomWorkload("BP", 50, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sn := syn.Snapshot()
+			deepest := sp[0]
+			for _, q := range append(sp, bp...) {
+				if q.p.NumSteps() > deepest.p.NumSteps() {
+					deepest = q
+				}
+				pl := sn.Compile(q)
+				want := sn.EstimateQuery(q)
+				if got := pl.Run(sn); got != want {
+					t.Errorf("%d-step %s: plan %g, estimate %g", q.p.NumSteps(), q.Class(), got, want)
+				}
+				if got, _ := pl.RunStreaming(sn, nil); !approx(got, want, 1e-9*want) {
+					t.Errorf("%d-step %s: streaming plan %g, estimate %g", q.p.NumSteps(), q.Class(), got, want)
+				}
+			}
+			if n := deepest.p.NumSteps(); n != len(tc.labels)+3 {
+				t.Errorf("deepest simple path has %d steps, want %d", n, len(tc.labels)+3)
+			}
+			if act, _ := deepest.Actual(); sn.EstimateQuery(deepest) != float64(act) {
+				t.Errorf("deepest simple path estimates %g, actual %d", sn.EstimateQuery(deepest), act)
+			}
+			if _, err := ParseQuery(deepest.String()); err == nil {
+				t.Errorf("a %d-step, %d-byte query parsed from a client", deepest.p.NumSteps(), len(deepest.String()))
+			}
+		})
+	}
+}
+
 func TestWriteXMLRoundTrip(t *testing.T) {
 	d := fig2Doc(t)
 	var buf bytes.Buffer

@@ -339,8 +339,11 @@ func TestReadSynopsisV1Fixture(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesPinned pins the stream bytes of three generated
-// synopses, so neither construction nor the format drifts silently.
+// TestSnapshotBytesPinned pins the stream bytes of five generated
+// synopses, so neither construction nor the format drifts silently. The
+// treebank rows cover thousands of branching candidates: at 1BP and 2BP
+// with the paper's card threshold of 20, and at 1BP with the experiments'
+// proportional threshold.
 func TestSnapshotBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		dataset string
@@ -352,6 +355,10 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			"94bd8d28e53e49d0d700fd4c44d27f33da73536da7b0be9a59cf71f0e2632d56", 7441},
 		{"treebank", &Config{CardThreshold: 20, HET: &HETConfig{MBP: 1}},
 			"78d9629756477d247d5ec535d135a796aba205694033407f68d8bf2e7cfb6b4c", 202233},
+		{"treebank", &Config{CardThreshold: 20, HET: &HETConfig{MBP: 2}},
+			"478d0abe698ec255e741e35a2cfb9ba2c9e86d59979ac91fa08484fa841788ff", 234829},
+		{"treebank", &Config{CardThreshold: 0.2, HET: &HETConfig{MBP: 1}},
+			"ad350bebdf61d739e5a0ecb04d817ddc77775bcf1a1fbd581d6cbf5d6f81b3a5", 324410},
 		{"dblp", &Config{HET: &HETConfig{MBP: 2}},
 			"dfa95c66c591ce3aca32d5a125ea98af1fead7a768f46942b73dd548b27212f8", 31294},
 	} {

@@ -2,10 +2,10 @@
 // the request, response, and error types every versioned /v1 route
 // marshals, shared verbatim by the server (xseed/internal/server) and the
 // Go SDK (xseed/client). It has no dependencies beyond the standard
-// library and the XPath parser's error type, so optimizer-embedded clients
-// and additional transports can reuse it without pulling in the synopsis
-// machinery — the xtp binary protocol (docs/PROTOCOL.md) carries exactly
-// these types in binary frames.
+// library and the XPath parser's error type and query caps, so
+// optimizer-embedded clients and additional transports can reuse it
+// without pulling in the synopsis machinery — the xtp binary protocol
+// (docs/PROTOCOL.md) carries exactly these types in binary frames.
 //
 // # Versioning
 //
@@ -26,7 +26,13 @@
 // envelope instead.
 package api
 
-import "time"
+import (
+	"strings"
+	"time"
+	"unicode/utf8"
+
+	"xseed/internal/xpath"
+)
 
 // SynopsisConfig mirrors the synopsis construction knobs
 // (xseed.Config/xseed.HETConfig) for the JSON API.
@@ -72,13 +78,33 @@ type EstimateRequest struct {
 // EstimateItem is the outcome of estimating one query of a batch: either
 // an estimate (with cache/matcher provenance) or a typed per-query error —
 // never both. Query is the normalized (parsed and re-rendered) form when
-// the query parsed, the raw input otherwise.
+// the query parsed, and EchoQuery of the raw input otherwise: the input
+// itself, or only its first bytes when it is longer than a query may be.
 type EstimateItem struct {
 	Query    string  `json:"query"`
 	Estimate float64 `json:"estimate"`
 	Cached   bool    `json:"cached,omitempty"`
 	Streamed bool    `json:"streamed,omitempty"`
 	Error    *Error  `json:"error,omitempty"`
+}
+
+// MaxQueryEcho bounds what EchoQuery keeps of a query over the byte cap.
+const MaxQueryEcho = 64
+
+// EchoQuery is the text an item that failed to parse echoes for its query.
+// A query within xpath.MaxQueryBytes is echoed whole. A longer one is
+// echoed by its first bytes, at most MaxQueryEcho of them and cut at a
+// rune start, so that answering a megabyte-long query does not take
+// another megabyte; the copy does not keep the request's text alive.
+func EchoQuery(q string) string {
+	if len(q) <= xpath.MaxQueryBytes {
+		return q
+	}
+	cut := MaxQueryEcho
+	for cut > 0 && !utf8.RuneStart(q[cut]) {
+		cut--
+	}
+	return strings.Clone(q[:cut])
 }
 
 // EstimateResponse answers an estimate request; Results holds one item per

@@ -11,6 +11,28 @@ import (
 	"xseed/internal/xpath"
 )
 
+// TestEchoQuery: a query within the byte cap echoes whole; a longer one by
+// at most MaxQueryEcho bytes, cut before a character MaxQueryEcho would
+// split.
+func TestEchoQuery(t *testing.T) {
+	atCap := strings.Repeat("a", xpath.MaxQueryBytes)
+	if got := EchoQuery(atCap); got != atCap {
+		t.Errorf("a %d-byte query echoes %d bytes, want all", len(atCap), len(got))
+	}
+	over := atCap + "b"
+	if got := EchoQuery(over); got != over[:MaxQueryEcho] {
+		t.Errorf("a %d-byte query echoes %q, want its first %d bytes", len(over), got, MaxQueryEcho)
+	}
+	// "é" is two bytes: one starting at MaxQueryEcho-1 would be split.
+	split := strings.Repeat("a", MaxQueryEcho-1) + strings.Repeat("é", xpath.MaxQueryBytes)
+	if got := EchoQuery(split); got != split[:MaxQueryEcho-1] {
+		t.Errorf("echo = %q (%d bytes), want the %d bytes before the split character", got, len(got), MaxQueryEcho-1)
+	}
+	if got := EchoQuery(strings.Repeat("\x80", xpath.MaxQueryBytes+1)); got != "" {
+		t.Errorf("a query of continuation bytes echoes %q, want nothing", got)
+	}
+}
+
 // TestErrorCodeRoundTrip proves the acceptance contract: every code maps
 // server → HTTP status → client back to the same code, with message and
 // structured detail intact.

@@ -14,7 +14,7 @@ import (
 // api.Error.ParseDetail) whether the estimate ran embedded or against a
 // remote xseedd.
 type Result struct {
-	Query    string  // normalized query (raw input when it failed to parse)
+	Query    string  // normalized query; api.EchoQuery of the input when it failed to parse
 	Estimate float64 // estimated cardinality
 	Cached   bool    // answered from a server-side estimate cache
 	Streamed bool    // the single-pass streaming matcher produced it
@@ -83,7 +83,7 @@ func (l *LocalEstimator) EstimateBatch(ctx context.Context, queries []string) ([
 		}
 		q, err := ParseQuery(raw)
 		if err != nil {
-			out[i] = Result{Query: raw, Err: api.WrapError(err, api.CodeBadRequest)}
+			out[i] = Result{Query: api.EchoQuery(raw), Err: api.WrapError(err, api.CodeBadRequest)}
 			continue
 		}
 		out[i] = Result{Query: q.String(), Estimate: sn.EstimateQuery(q)}

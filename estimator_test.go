@@ -3,6 +3,7 @@ package xseed
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"xseed/api"
@@ -62,6 +63,32 @@ func TestLocalEstimatorBatchAndFeedback(t *testing.T) {
 	// The single-query helper surfaces per-query errors as call errors.
 	if _, err := Estimate(ctx, est, "broken ["); err == nil {
 		t.Error("Estimate of a broken query succeeded")
+	}
+}
+
+// TestLocalEstimatorEchoesOverCapExcerpt: the embedded backend echoes a
+// failed query as the served one does (api.EchoQuery): whole within the
+// byte cap, by its first bytes over it.
+func TestLocalEstimatorEchoesOverCapExcerpt(t *testing.T) {
+	doc, err := ParseXMLString(estimatorTestXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := BuildSynopsis(doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("/a", 4096)
+	bad := "/a/c[s]???"
+	res, err := NewLocalEstimator(syn).EstimateBatch(context.Background(), []string{long, bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err == nil || res[0].Query != long[:api.MaxQueryEcho] {
+		t.Errorf("over-cap item = %d-byte query, err %v; want its first %d bytes and an error", len(res[0].Query), res[0].Err, api.MaxQueryEcho)
+	}
+	if res[1].Err == nil || res[1].Query != bad {
+		t.Errorf("malformed item = %q, err %v; want %q and an error", res[1].Query, res[1].Err, bad)
 	}
 }
 

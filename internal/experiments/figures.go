@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"runtime"
 	"time"
 
 	"xseed"
@@ -97,6 +98,9 @@ func Figure5(cfg Config, w io.Writer) ([]Figure5Row, error) {
 	return rows, nil
 }
 
+// buildRuns is how many times Figure6 builds each synopsis it times.
+const buildRuns = 3
+
 // Figure6Row is one MBP setting of the paper's Figure 6: HET construction
 // time and the RMSE of a 2BP workload.
 type Figure6Row struct {
@@ -111,6 +115,16 @@ type Figure6Row struct {
 // time tradeoff of MBP ∈ {0, 1, 2} measured on a 2BP workload. The paper's
 // finding: 1BP cuts the error ~66% cheaply; 2BP costs ~10× more
 // construction time for only ~8% further reduction.
+//
+// The paper's construction time is that of NoK evaluations of the
+// candidate patterns over the document. Ours counts every candidate from
+// its parent path's extent, evaluating no query (het.Precompute), and
+// spends much of its time ranking the candidates by the kernel's
+// estimates, so our 1BP-vs-2BP build-time ratio measures that counting
+// method, not the paper's NoK runs; it follows the number of candidates
+// (87 and 981 on DBLP ×0.01). A row's build time is the fastest of
+// buildRuns builds, each started after a collection, so that one stall
+// does not decide the comparison.
 func Figure6(cfg Config, w io.Writer) ([]Figure6Row, error) {
 	spec, _ := specByKey("DBLP")
 	d, err := rootDataset(cfg, spec)
@@ -141,11 +155,16 @@ func Figure6(cfg Config, w io.Writer) ([]Figure6Row, error) {
 		} else {
 			cfgS := *base
 			cfgS.HET = &xseed.HETConfig{MBP: mbp, BselThreshold: spec.BselThreshold}
-			start := time.Now()
-			if syn, err = xseed.BuildSynopsis(d, &cfgS); err != nil {
-				return rows, err
+			for i := 0; i < buildRuns; i++ {
+				runtime.GC()
+				start := time.Now()
+				if syn, err = xseed.BuildSynopsis(d, &cfgS); err != nil {
+					return rows, err
+				}
+				if el := time.Since(start); i == 0 || el < row.BuildTime {
+					row.BuildTime = el
+				}
 			}
-			row.BuildTime = time.Since(start)
 			_, row.Entries = syn.HETEntries()
 		}
 		est, cleanup, err := cfg.estimatorFor("f6-"+itoa(mbp)+"bp", syn)

@@ -5,6 +5,11 @@
 // assumptions (ancestor independence, Example 4; sibling independence,
 // Example 5) break.
 //
+// Precompute builds the table from the document's path tree: simple paths
+// take their counts from the tree's nodes, and each branching candidate's
+// actual cardinality is counted from the extent of its parent path (the
+// elements with that rooted label path), not by evaluating its query.
+//
 // Entries are ranked by absolute estimation error. The full table plays the
 // role of the paper's "secondary storage" copy; only the top-k entries that
 // fit the memory budget are resident and consulted by the estimator, so the
@@ -13,6 +18,7 @@ package het
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"xseed/internal/pathhash"
@@ -189,7 +195,7 @@ func (t *Table) reposition(i int) {
 // duplicates keep one index winner, as the old per-prefix map rebuild did.
 func (t *Table) AddBatch(entries []Entry) {
 	t.all = append(t.all, entries...)
-	sort.SliceStable(t.all, func(i, j int) bool { return t.all[i].Err > t.all[j].Err })
+	slices.SortStableFunc(t.all, byErrDesc)
 	t.idx = make(map[tkey]int, len(t.all))
 	for i := range t.all {
 		t.idx[tkey{t.all[i].Hash, t.all[i].Pattern}] = i
@@ -205,6 +211,18 @@ func (t *Table) AddBatch(entries []Entry) {
 	}
 	t.limit = t.residentLimit()
 	t.dropView()
+}
+
+// byErrDesc orders entries by Err descending; a NaN Err ties with every
+// other.
+func byErrDesc(a, b Entry) int {
+	switch {
+	case a.Err > b.Err:
+		return -1
+	case a.Err < b.Err:
+		return 1
+	}
+	return 0
 }
 
 // SetBudget changes the resident memory budget in bytes and recomputes the

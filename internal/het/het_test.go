@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"xseed/internal/datagen"
 	"xseed/internal/estimate"
 	"xseed/internal/fixtures"
 	"xseed/internal/kernel"
@@ -36,10 +37,15 @@ type built struct {
 
 func build(t *testing.T, xml string) built {
 	t.Helper()
+	return buildSource(t, xmldoc.NewParserString(xml))
+}
+
+func buildSource(t testing.TB, src xmldoc.Source) built {
+	t.Helper()
 	dict := xmldoc.NewDict()
 	kb := kernel.NewBuilder(dict)
 	pb := pathtree.NewBuilder(dict)
-	doc, err := xmldoc.Build(xmldoc.NewParserString(xml), dict, kb, pb)
+	doc, err := xmldoc.Build(src, dict, kb, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +128,7 @@ func TestPrecomputePathEntriesFigure2(t *testing.T) {
 	if stats.PathEntries != 14 {
 		t.Errorf("path entries = %d, want 14 (path tree size)", stats.PathEntries)
 	}
-	if stats.PatternEntries != 0 || stats.NokEvaluations != 0 {
+	if stats.PatternEntries != 0 || stats.Candidates != 0 {
 		t.Errorf("MBP=0 built patterns: %+v", stats)
 	}
 	// Figure 2's simple paths estimate exactly, so every error is 0.
@@ -282,8 +288,66 @@ func TestMaxCandidatesPerNodeCap(t *testing.T) {
 	b := build(t, fixtures.PaperFigure2)
 	_, unbounded := Precompute(b.doc, b.pt, b.k, PrecomputeOptions{MBP: 1, BselThreshold: 0.99})
 	_, capped := Precompute(b.doc, b.pt, b.k, PrecomputeOptions{MBP: 1, BselThreshold: 0.99, MaxCandidatesPerNode: 1})
-	if capped.NokEvaluations >= unbounded.NokEvaluations {
-		t.Errorf("cap had no effect: %d vs %d", capped.NokEvaluations, unbounded.NokEvaluations)
+	if capped.Candidates >= unbounded.Candidates {
+		t.Errorf("cap had no effect: %d vs %d", capped.Candidates, unbounded.Candidates)
+	}
+}
+
+// TestCandidateCountsMatchNoK: every branching candidate u[preds]/r that
+// Precompute enumerates is counted from u's extent, and that count must be
+// what the NoK operator returns for the candidate's query. Figure 2 and
+// XMark have candidates only above the default bsel threshold of 0.1.
+func TestCandidateCountsMatchNoK(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		thr  float64
+	}{{"fig2", 0.5}, {"xmark", 0.5}, {"dblp", 0}, {"treebank", 0}} {
+		var b built
+		if c.name == "fig2" {
+			b = build(t, fixtures.PaperFigure2)
+		} else {
+			src, err := datagen.New(c.name, 0.01, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = buildSource(t, src)
+		}
+		dict := b.pt.Dict()
+		nokCount := map[string]int64{} // the options' candidates overlap
+		for _, opt := range []PrecomputeOptions{
+			{MBP: 1}, {MBP: 1, MaxCandidatesPerNode: 5},
+			{MBP: 2}, {MBP: 2, MaxCandidatesPerNode: 40}, {MBP: 3, MaxCandidatesPerNode: 40},
+		} {
+			opt.BselThreshold = c.thr
+			opt.EstimateOptions.CardThreshold = 20
+			n, mismatches := 0, 0
+			walkCandidates(b.doc, b.pt, opt, func(u *pathtree.Node, preds []*pathtree.Node, r *pathtree.Node, actual int64) {
+				n++
+				labels := make([]string, len(preds))
+				for i, p := range preds {
+					labels[i] = dict.Name(p.Label)
+				}
+				q := candidateQuery(u.Query(dict).Steps, labels, dict.Name(r.Label))
+				key := q.String()
+				want, ok := nokCount[key]
+				if !ok {
+					want = b.ev.Count(q)
+					nokCount[key] = want
+				}
+				if actual != want {
+					if mismatches++; mismatches <= 5 {
+						t.Errorf("%s MBP %d cap %d: %s counted %d from the extent, NoK %d",
+							c.name, opt.MBP, opt.MaxCandidatesPerNode, key, actual, want)
+					}
+				}
+			})
+			_, stats := Precompute(b.doc, b.pt, b.k, opt)
+			if n == 0 || stats.Candidates != n {
+				t.Errorf("%s MBP %d cap %d: Precompute counted %d candidates, the walk enumerated %d",
+					c.name, opt.MBP, opt.MaxCandidatesPerNode, stats.Candidates, n)
+			}
+			t.Logf("%s MBP %d cap %d: %d candidates, %d mismatches", c.name, opt.MBP, opt.MaxCandidatesPerNode, n, mismatches)
+		}
 	}
 }
 

@@ -1,11 +1,10 @@
 package het
 
 import (
-	"sort"
+	"slices"
 
 	"xseed/internal/estimate"
 	"xseed/internal/kernel"
-	"xseed/internal/nok"
 	"xseed/internal/pathhash"
 	"xseed/internal/pathtree"
 	"xseed/internal/xmldoc"
@@ -55,15 +54,16 @@ func (o PrecomputeOptions) bselThreshold() float64 {
 type PrecomputeStats struct {
 	PathEntries    int
 	PatternEntries int
-	NokEvaluations int // actual-cardinality evaluations over the document
+	Candidates     int // branching candidates counted, each from its parent path's extent
 }
 
 // Precompute builds a hyper-edge table for the document: the actual
 // cardinality and backward selectivity of every simple path (from the path
 // tree, no document scan needed), plus correlated backward selectivities
-// for leaf-level branching patterns with up to MBP predicates, evaluated
-// with the NoK operator. Entries are ranked by absolute estimation error of
-// the bare kernel.
+// for leaf-level branching patterns with up to MBP predicates, each
+// candidate's actual cardinality counted from its parent path's extent
+// (walkCandidates) rather than by evaluating its query over the document.
+// Entries are ranked by absolute estimation error of the bare kernel.
 func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt PrecomputeOptions) (*Table, PrecomputeStats) {
 	var stats PrecomputeStats
 	dict := pt.Dict()
@@ -72,7 +72,6 @@ func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt P
 	// One snapshot: its EPT feeds the lockstep walk, its plans rank the
 	// branching candidates.
 	sn := estimate.NewSnapshot(k, k.Dict(), eopt)
-	ev := nok.New(doc)
 
 	var entries []Entry
 
@@ -143,146 +142,66 @@ func Precompute(doc *xmldoc.Document, pt *pathtree.Tree, k *kernel.Kernel, opt P
 	}
 	stats.PathEntries = len(entries)
 
-	// Branching patterns. Candidates follow the paper: for each path tree
-	// node v with bsel(v) < BSEL_THRESHOLD, enumerate leaf-level branching
-	// paths u[v...]/r where u is v's parent and r a distinct sibling.
-	// Patterns are relative (Table 1 stores d[e]/f, not /a/b/d[e]/f), so
-	// occurrences under different rooted paths aggregate.
-	if opt.MBP >= 1 && pt.Root != nil {
-		type acc struct {
-			parent  string
-			preds   []string
-			next    string
-			act     float64
-			base    float64
-			est     float64
-			estBase float64
+	// Branching patterns: each candidate u[preds]/r (see walkCandidates)
+	// aggregates into its relative pattern (Table 1 stores d[e]/f, not
+	// /a/b/d[e]/f), so occurrences under different rooted paths aggregate.
+	type acc struct{ act, base, est float64 }
+	accs := map[uint32]*acc{}
+	var (
+		lastU      *pathtree.Node
+		uSteps     []xpath.Step
+		parentName string
+		predLabels []string
+	)
+	walkCandidates(doc, pt, opt, func(u *pathtree.Node, preds []*pathtree.Node, r *pathtree.Node, actual int64) {
+		if u != lastU {
+			lastU, uSteps, parentName = u, u.Query(dict).Steps, dict.Name(u.Label)
 		}
-		accs := map[uint32]*acc{}
-		threshold := opt.bselThreshold()
+		predLabels = predLabels[:0]
+		for _, p := range preds {
+			predLabels = append(predLabels, dict.Name(p.Label))
+		}
+		rName := dict.Name(r.Label)
+		h := pathhash.Pattern(parentName, predLabels, rName)
+		a := accs[h]
+		if a == nil {
+			a = &acc{}
+			accs[h] = a
+		}
+		stats.Candidates++
+		a.act += float64(actual)
+		a.base += float64(r.Card) // base is exact from the path tree
+		a.est += sn.Estimate(candidateQuery(uSteps, predLabels, rName))
+	})
 
-		pt.Walk(func(u *pathtree.Node) {
-			if len(u.Children) < 2 {
-				return
-			}
-			// Predicate candidates: children below the bsel threshold.
-			var cands []*pathtree.Node
-			for _, v := range u.Children {
-				if v.Bsel() < threshold {
-					cands = append(cands, v)
-				}
-			}
-			if len(cands) == 0 {
-				return
-			}
-			// Each candidate u[preds]/r is built from labels: its text
-			// would be as long as the document is deep, and xpath.Parse
-			// holds a query to a client's caps.
-			uSteps := u.Query(dict).Steps
-			emitted := 0
-			emit := func(preds []*pathtree.Node, r *pathtree.Node) bool {
-				if opt.MaxCandidatesPerNode > 0 && emitted >= opt.MaxCandidatesPerNode {
-					return false
-				}
-				emitted++
-				q := &xpath.Path{Steps: make([]xpath.Step, len(uSteps), len(uSteps)+1)}
-				copy(q.Steps, uSteps)
-				predLabels := make([]string, len(preds))
-				predPaths := make([]*xpath.Path, len(preds))
-				for i, p := range preds {
-					predLabels[i] = dict.Name(p.Label)
-					predPaths[i] = &xpath.Path{Steps: []xpath.Step{{Axis: xpath.Child, Label: predLabels[i]}}}
-				}
-				q.Steps[len(uSteps)-1].Preds = predPaths
-				rName := dict.Name(r.Label)
-				q.Steps = append(q.Steps, xpath.Step{Axis: xpath.Child, Label: rName})
-				parentName := dict.Name(u.Label)
-				h := pathhash.Pattern(parentName, predLabels, rName)
-				a := accs[h]
-				if a == nil {
-					a = &acc{parent: parentName, preds: predLabels, next: rName}
-					accs[h] = a
-				}
-				actual := float64(ev.Count(q))
-				stats.NokEvaluations++
-				a.act += actual
-				a.base += float64(r.Card)
-				a.est += sn.Estimate(q)
-				a.estBase += float64(r.Card) // base is exact from the path tree
-				return true
-			}
-
-			// Predicate sets of size 1..MBP and sibling continuations. Per
-			// the paper, a below-threshold node need only be *one of* the
-			// predicates; the others range over all distinct siblings.
-			// Subsets are enumerated once each (index-ascending), which is
-			// what makes 2BP/3BP combinatorially more expensive than 1BP
-			// (Figure 6's ~10× construction time).
-			isCand := func(v *pathtree.Node) bool { return v.Bsel() < threshold }
-			var choose func(start int, chosen []*pathtree.Node, hasCand bool) bool
-			choose = func(start int, chosen []*pathtree.Node, hasCand bool) bool {
-				if len(chosen) >= 1 && hasCand {
-					for _, r := range u.Children {
-						if containsNode(chosen, r) {
-							continue
-						}
-						if !emit(chosen, r) {
-							return false
-						}
-					}
-				}
-				if len(chosen) == opt.MBP {
-					return true
-				}
-				for i := start; i < len(u.Children); i++ {
-					v := u.Children[i]
-					if !choose(i+1, append(chosen, v), hasCand || isCand(v)) {
-						return false
-					}
-				}
-				return true
-			}
-			choose(0, nil, false)
+	hashes := make([]uint32, 0, len(accs))
+	for h := range accs {
+		hashes = append(hashes, h)
+	}
+	slices.Sort(hashes)
+	for _, h := range hashes {
+		a := accs[h]
+		if a.base <= 0 {
+			continue
+		}
+		corr := a.act / a.base
+		if corr > 1 {
+			corr = 1
+		}
+		entries = append(entries, Entry{
+			Hash:    h,
+			Pattern: true,
+			Card:    a.act,
+			Bsel:    corr,
+			BselOK:  true,
+			Err:     abs(a.est - a.act),
 		})
-
-		hashes := make([]uint32, 0, len(accs))
-		for h := range accs {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-		for _, h := range hashes {
-			a := accs[h]
-			if a.base <= 0 {
-				continue
-			}
-			corr := a.act / a.base
-			if corr > 1 {
-				corr = 1
-			}
-			entries = append(entries, Entry{
-				Hash:    h,
-				Pattern: true,
-				Card:    a.act,
-				Bsel:    corr,
-				BselOK:  true,
-				Err:     abs(a.est - a.act),
-			})
-			stats.PatternEntries++
-		}
+		stats.PatternEntries++
 	}
 
 	t := New(opt.Budget)
 	t.AddBatch(entries)
 	return t, stats
-}
-
-func containsNode(s []*pathtree.Node, n *pathtree.Node) bool {
-	for _, x := range s {
-		if x == n {
-			return true
-		}
-	}
-	return false
 }
 
 func eptChild(en *estimate.EPTNode, label xmldoc.LabelID) *estimate.EPTNode {

@@ -1085,7 +1085,7 @@ func (r *Registry) finishBatch(ctx context.Context, b *estBatch) ([]api.Estimate
 			sp.Mark(obs.StageParse)
 			if err != nil {
 				sp.Flush()
-				items[i] = api.EstimateItem{Query: queries[i], Error: api.WrapError(err, api.CodeBadRequest)}
+				items[i] = api.EstimateItem{Query: api.EchoQuery(queries[i]), Error: api.WrapError(err, api.CodeBadRequest)}
 				continue
 			}
 			m.plan, m.q = sn.Compile(q), q

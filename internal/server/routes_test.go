@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"xseed"
 	"xseed/api"
 	"xseed/internal/fixtures"
+	"xseed/internal/xpath"
 )
 
 // normalizeBody makes two servers' responses comparable: JSON bodies are
@@ -169,6 +171,46 @@ func TestHTTPEstimatePartialSuccess(t *testing.T) {
 	}
 	if d, ok := bad.Error.ParseDetail(); !ok || d.Offset != len("/a/c[") {
 		t.Errorf("parse detail = %+v ok=%v, want offset %d", d, ok, len("/a/c["))
+	}
+}
+
+// TestHTTPFlatQueryOverStepCap is TestXTPFlatQueryOverStepCap over HTTP
+// JSON: a flat query of 15 MiB is a per-item parse_error at the step past
+// the cap, its item echoes only the query's first api.MaxQueryEcho bytes,
+// and the exchange allocates no more than the request body's copies of
+// the query.
+func TestHTTPFlatQueryOverStepCap(t *testing.T) {
+	_, ts := newTestServer(t)
+	createFixture(t, ts, "fig2")
+	q := strings.Repeat("/a", 15<<19) // 15 MiB
+	body := []byte(`{"queries":["` + q + `"]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := ts.Client().Post(ts.URL+"/v1/synopses/fig2/estimate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out api.EstimateResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != 1 {
+		t.Fatalf("status %d, %d items, %v; want 200 and one item", resp.StatusCode, len(out.Results), err)
+	}
+	it := out.Results[0]
+	if it.Error == nil || it.Error.Code != api.CodeParseError {
+		t.Fatalf("item error = %+v, want %s", it.Error, api.CodeParseError)
+	}
+	if d, ok := it.Error.ParseDetail(); !ok || d.Offset != 2*xpath.MaxSteps {
+		t.Errorf("parse detail = %+v ok=%v, want offset %d", d, ok, 2*xpath.MaxSteps)
+	}
+	if it.Query != q[:api.MaxQueryEcho] {
+		t.Fatalf("item echoes %d bytes of the %d-byte query, want its first %d", len(it.Query), len(q), api.MaxQueryEcho)
+	}
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("the exchange allocated %d bytes, %.2f× the query", n, float64(n)/float64(len(q)))
+	if float64(n) > 3.5*float64(len(q)) {
+		t.Errorf("the exchange allocated %d bytes for a %d-byte query", n, len(q))
 	}
 }
 

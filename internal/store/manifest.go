@@ -133,6 +133,17 @@ func readManifest(dir string) (*Manifest, error) {
 	if m.Synopses == nil {
 		m.Synopses = make(map[string]*ManifestEntry)
 	}
+	// Recovery opens, truncates and deletes files under each entry's Dir,
+	// so an entry must name a directory below synopses/.
+	for _, key := range m.names() {
+		me := m.Synopses[key]
+		if me == nil {
+			return nil, fmt.Errorf("store: manifest entry %q is null", key)
+		}
+		if d := filepath.FromSlash(me.Dir); !filepath.IsLocal(d) || filepath.Clean(d) == "." {
+			return nil, fmt.Errorf("store: manifest entry %q: dir %q is not a directory below synopses/", key, me.Dir)
+		}
+	}
 	return &m, nil
 }
 

@@ -380,6 +380,33 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 }
 
+// TestBuildSynopsisAllocBudget is construction's allocation budget: a 1BP
+// synopsis of treebank ×0.01 at card threshold 20 (2,249 branching
+// candidates) allocates at most 8 MB, least of 3 builds. Counting each
+// candidate from its parent path's extent takes about 4 MB; evaluating each
+// candidate's query from the document root would take some 60 MB more.
+func TestBuildSynopsisAllocBudget(t *testing.T) {
+	d, err := Generate("treebank", 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		n := allocated(func() {
+			if _, err := BuildSynopsis(d, &Config{CardThreshold: 20, HET: &HETConfig{MBP: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n < least {
+			least = n
+		}
+	}
+	t.Logf("BuildSynopsis(treebank ×0.01, card 20, 1BP): %d B (least of 3)", least)
+	if least > 8<<20 {
+		t.Fatalf("BuildSynopsis allocated %d B, budget 8 MiB", least)
+	}
+}
+
 // TestSnapshotRetiredFlagByte: the last byte of the options block held an
 // EPT-reuse flag that nothing reads any more. A stream with it set loads
 // and estimates as before, and re-encodes with it cleared.

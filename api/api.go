@@ -29,7 +29,6 @@ package api
 import (
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"xseed/internal/xpath"
 )
@@ -100,11 +99,7 @@ func EchoQuery(q string) string {
 	if len(q) <= xpath.MaxQueryBytes {
 		return q
 	}
-	cut := MaxQueryEcho
-	for cut > 0 && !utf8.RuneStart(q[cut]) {
-		cut--
-	}
-	return strings.Clone(q[:cut])
+	return strings.Clone(runePrefix(q, MaxQueryEcho))
 }
 
 // EstimateResponse answers an estimate request; Results holds one item per

@@ -219,22 +219,27 @@ func WrapError(err error, fallbackCode string) *Error {
 	}
 	var pe *xpath.ParseError
 	if errors.As(err, &pe) {
-		token := pe.Input[min(pe.Pos, len(pe.Input)):]
-		if len(token) > parseErrTokenMax {
-			// Truncate on a rune boundary so a multibyte query excerpt
-			// stays valid UTF-8 through JSON marshaling.
-			cut := parseErrTokenMax
-			for cut > 0 && !utf8.RuneStart(token[cut]) {
-				cut--
-			}
-			token = token[:cut]
-		}
+		// Truncate on a rune boundary so a multibyte query excerpt stays
+		// valid UTF-8 through JSON marshaling.
+		token := runePrefix(pe.Input[min(pe.Pos, len(pe.Input)):], parseErrTokenMax)
 		return NewParseError(pe.Error(), pe.Pos, token)
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return &Error{Code: CodeCanceled, Msg: err.Error()}
 	}
 	return &Error{Code: fallbackCode, Msg: err.Error()}
+}
+
+// runePrefix returns the longest prefix of s of at most n bytes that does
+// not cut a character in half.
+func runePrefix(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n]
 }
 
 // ErrorResponse is the JSON envelope every non-2xx response body uses.

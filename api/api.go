@@ -66,16 +66,20 @@ type CreateRequest struct {
 }
 
 // EstimateRequest carries one query or a batch (Query, if set, is treated
-// as the first batch entry). Streaming selects the single-pass matcher
-// with automatic per-query fallback.
+// as the first batch entry).
 type EstimateRequest struct {
-	Query     string   `json:"query,omitempty"`
-	Queries   []string `json:"queries,omitempty"`
-	Streaming bool     `json:"streaming,omitempty"`
+	Query   string   `json:"query,omitempty"`
+	Queries []string `json:"queries,omitempty"`
+
+	// Deprecated: accepted and ignored. It selected a second, streaming
+	// matcher, which is gone; every estimate runs the one compiled plan.
+	// The field stays so that an older client's request still decodes
+	// (the server rejects unknown fields).
+	Streaming bool `json:"streaming,omitempty"`
 }
 
 // EstimateItem is the outcome of estimating one query of a batch: either
-// an estimate (with cache/matcher provenance) or a typed per-query error —
+// an estimate (with its cache provenance) or a typed per-query error —
 // never both. Query is the normalized (parsed and re-rendered) form when
 // the query parsed, and EchoQuery of the raw input otherwise: the input
 // itself, or only its first bytes when it is longer than a query may be.
@@ -83,7 +87,6 @@ type EstimateItem struct {
 	Query    string  `json:"query"`
 	Estimate float64 `json:"estimate"`
 	Cached   bool    `json:"cached,omitempty"`
-	Streamed bool    `json:"streamed,omitempty"`
 	Error    *Error  `json:"error,omitempty"`
 }
 

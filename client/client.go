@@ -278,7 +278,7 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	return c.do(ctx, http.MethodDelete, synPath(name, ""), nil, nil, false)
 }
 
-// Estimate runs one estimate request — single query, batch, streaming —
+// Estimate runs one estimate request — a single query or a batch —
 // against the named synopsis, returning the full wire response. Estimates
 // are read-only, so the call retries per WithRetry.
 func (c *Client) Estimate(ctx context.Context, name string, req api.EstimateRequest) (api.EstimateResponse, error) {
@@ -410,7 +410,6 @@ func resultsFromItems(items []api.EstimateItem, nq int) ([]xseed.Result, error) 
 			Query:    it.Query,
 			Estimate: it.Estimate,
 			Cached:   it.Cached,
-			Streamed: it.Streamed,
 		}
 		if it.Error != nil {
 			out[i].Err = it.Error

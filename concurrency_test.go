@@ -50,10 +50,6 @@ func TestConcurrentEstimates(t *testing.T) {
 					t.Errorf("%s: concurrent estimate %v, want %v", queries[idx], got, want[idx])
 					return
 				}
-				if sg, _ := syn.EstimateStreamingQuery(MustParseQuery(queries[idx])); sg < 0 {
-					t.Errorf("streaming estimate negative: %v", sg)
-					return
-				}
 				syn.EPTStats()
 				syn.SizeBytes()
 			}
@@ -166,14 +162,7 @@ func TestSnapshotConsistencyHammer(t *testing.T) {
 				sn := syn.Snapshot()
 				qi := (g + i) % len(queries)
 				var val float64
-				if i%3 == 0 {
-					val, _ = sn.EstimateStreamingQuery(queries[qi])
-					// Streaming values are checked for determinism against
-					// the captured snapshot the same way (replay below).
-					observed[g] = append(observed[g], obs{^sn.Version(), qi, val})
-					continue
-				}
-				if i%3 == 1 {
+				if i%2 == 0 {
 					val = sn.Compile(queries[qi]).Run(sn)
 				} else {
 					val = sn.EstimateQuery(queries[qi])
@@ -205,25 +194,13 @@ func TestSnapshotConsistencyHammer(t *testing.T) {
 	total := 0
 	for g := range observed {
 		for _, o := range observed[g] {
-			streaming := false
-			ver := o.ver
-			if ver > 1<<62 { // streaming observations carry ^version
-				streaming = true
-				ver = ^ver
-			}
-			sn := snaps[ver]
+			sn := snaps[o.ver]
 			if sn == nil {
-				t.Fatalf("reader %d observed unpublished snapshot version %d", g, ver)
+				t.Fatalf("reader %d observed unpublished snapshot version %d", g, o.ver)
 			}
-			var want float64
-			if streaming {
-				want, _ = sn.EstimateStreamingQuery(queries[o.qi])
-			} else {
-				want = sn.EstimateQuery(queries[o.qi])
-			}
-			if o.val != want {
+			if want := sn.EstimateQuery(queries[o.qi]); o.val != want {
 				t.Fatalf("reader %d: %s at version %d = %v, want %v (torn read)",
-					g, queries[o.qi], ver, o.val, want)
+					g, queries[o.qi], o.ver, o.val, want)
 			}
 			total++
 		}

@@ -17,7 +17,6 @@ type Result struct {
 	Query    string  // normalized query; api.EchoQuery of the input when it failed to parse
 	Estimate float64 // estimated cardinality
 	Cached   bool    // answered from a server-side estimate cache
-	Streamed bool    // the single-pass streaming matcher produced it
 	Err      error   // per-query failure (*api.Error), nil on success
 }
 

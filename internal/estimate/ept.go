@@ -1,14 +1,18 @@
 // Package estimate implements XSEED cardinality estimation (paper
-// Section 4): the traveler that unfolds the kernel depth-first into the
+// Section 4): the builder that unfolds the kernel depth-first into the
 // expanded path tree (EPT) computing estimated cardinality, forward
 // selectivity and backward selectivity per rooted path (Algorithm 2 / the
-// EST recurrences of Definition 5), and the matcher that evaluates a query
-// twig over the EPT aggregating card × absel over result matches
-// (Algorithm 3 semantics; see DESIGN.md for the precise multi-embedding
-// semantics we fix).
+// EST recurrences of Definition 5), and the plan runner that evaluates a
+// compiled query twig over the EPT aggregating card × absel over result
+// matches (Algorithm 3 semantics; an EPT node that a step reaches by
+// several embeddings counts once, at its largest weight: see runner.step).
 package estimate
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"xseed/internal/counterstack"
 	"xseed/internal/kernel"
 	"xseed/internal/pathhash"
@@ -173,4 +177,42 @@ func (b *eptBuilder) expand(n *EPTNode, v *kernel.Vertex) {
 		b.expand(child, b.k.Vertex(e.To))
 		b.rl.Pop(e.To)
 	}
+}
+
+// DumpEPTXML renders the expanded path tree as the XML document shown in
+// Section 4 of the paper: one element per EPT node, with its Dewey ID,
+// cardinality and selectivities as attributes.
+func DumpEPTXML(k *kernel.Kernel, opt Options) string {
+	root, _ := BuildEPT(k, opt)
+	var sb strings.Builder
+	if root != nil {
+		dumpNode(&sb, k.Dict(), root, "1.", 0)
+	}
+	return sb.String()
+}
+
+// dumpNode renders n, whose Dewey ID is dewey, and its subtree at the
+// given depth: a leaf as one self-closing element.
+func dumpNode(sb *strings.Builder, dict *xmldoc.Dict, n *EPTNode, dewey string, depth int) {
+	indent, name := strings.Repeat("  ", depth), dict.Name(n.Label)
+	fmt.Fprintf(sb, `%s<%s dID=%q card=%s fsel=%s bsel=%s`,
+		indent, name, dewey, quoteNum(n.Card), quoteNum(n.Fsel), quoteNum(n.Bsel))
+	if len(n.Children) == 0 {
+		sb.WriteString("/>\n")
+		return
+	}
+	sb.WriteString(">\n")
+	for i, c := range n.Children {
+		dumpNode(sb, dict, c, dewey+strconv.Itoa(i+1)+".", depth+1)
+	}
+	fmt.Fprintf(sb, "%s</%s>\n", indent, name)
+}
+
+// quoteNum renders a float the way the paper's dump does: integers without
+// a decimal point, fractions in short form.
+func quoteNum(f float64) string {
+	if f == float64(int64(f)) {
+		return `"` + strconv.FormatInt(int64(f), 10) + `"`
+	}
+	return `"` + strconv.FormatFloat(f, 'g', 4, 64) + `"`
 }

@@ -459,43 +459,3 @@ func randomXML(rng *rand.Rand, labels []string, maxDepth, maxFanout int) string 
 	gen(0)
 	return sb.String()
 }
-
-func TestTravelerEventStream(t *testing.T) {
-	_, k, _, _ := fig2(t)
-	root, _ := BuildEPT(k, Options{})
-	tr := NewTraveler(root)
-	opens, closes := 0, 0
-	var deweys []string
-	for {
-		evt := tr.NextEvent()
-		if evt.Kind == EOSEvent {
-			break
-		}
-		if evt.Kind == OpenEvent {
-			opens++
-			deweys = append(deweys, evt.Dewey)
-		} else {
-			closes++
-		}
-	}
-	if opens != 14 || closes != 14 {
-		t.Errorf("events: %d opens %d closes, want 14/14", opens, closes)
-	}
-	if deweys[0] != "1." {
-		t.Errorf("root dewey = %q", deweys[0])
-	}
-	// Dewey of the deep p: 1.3.3.3.3.1.
-	found := false
-	for _, d := range deweys {
-		if d == "1.3.3.3.3.1." {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("deep dewey missing from %v", deweys)
-	}
-	// After EOS, the traveler keeps returning EOS.
-	if evt := tr.NextEvent(); evt.Kind != EOSEvent {
-		t.Error("traveler did not stay at EOS")
-	}
-}

@@ -414,29 +414,6 @@ func TestFeedbackIgnoresComplexShapes(t *testing.T) {
 	}
 }
 
-// TestStreamMatcherWithHET cross-validates the streaming matcher against
-// the materialized one with hyper-edge tables in play (path overrides and
-// correlated pattern bsels).
-func TestStreamMatcherWithHET(t *testing.T) {
-	b := build(t, fixtures.PaperFigure4)
-	tab, _ := Precompute(b.doc, b.pt, b.k, PrecomputeOptions{MBP: 2, BselThreshold: 0.5})
-	opt := estimate.Options{HET: tab}
-	for _, qs := range []string{
-		"/a/b/d/e", "/a/c/d/e", "/a/b/d[f]/e", "/a/c/d[e]/f",
-		"//d[f]/e", "//d[e][f]/e", "/a/b/d[e][f]/e",
-	} {
-		q := xpath.MustParse(qs)
-		want := estimateQ(b.k, opt, q)
-		got, ok := estimate.NewSnapshot(b.k, b.k.Dict(), opt).StreamEstimate(q)
-		if !ok {
-			t.Fatalf("%s: not streamable", qs)
-		}
-		if !approx(got, want, 1e-9) {
-			t.Errorf("%s: stream %g != materialized %g", qs, got, want)
-		}
-	}
-}
-
 func TestStripPreds(t *testing.T) {
 	q := xpath.MustParse("/a/b[c][d]/e[f/g]")
 	s := StripPreds(q)

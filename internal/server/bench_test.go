@@ -159,7 +159,7 @@ func BenchmarkEstimateWarmCache(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Estimate(context.Background(), "xmark", queries[i%len(queries)], false); err != nil {
+		if _, err := r.Estimate(context.Background(), "xmark", queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func BenchmarkEstimateDuringRebalance(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Estimate(context.Background(), "xmark", queries[i%len(queries)], false); err != nil {
+		if _, err := r.Estimate(context.Background(), "xmark", queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,56 +222,6 @@ func BenchmarkEstimateBatchWarmCache(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateStreaming measures the streaming matcher's two served
-// paths over a batch of simple paths: "miss" (capacity-1 cache, so every
-// query pays parse, compile and a streaming run) and "plan-rerun" (a
-// feedback that changes a card before each batch publishes a snapshot that
-// retires the cached estimates, so every query reruns its cached plan with
-// the streaming matcher, re-parsing the plan's normalized text). The
-// feedback and the new snapshot's EPT build run outside the timer.
-func BenchmarkEstimateStreaming(b *testing.B) {
-	_, queries := benchSetup(b)
-	ctx := context.Background()
-	for _, bc := range []struct {
-		name     string
-		capacity int
-		publish  bool
-	}{{"miss", 1, false}, {"plan-rerun", 4096, true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			syn, err := xseed.BuildSynopsis(benchState.doc, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := NewRegistry(bc.capacity, 0)
-			if _, err := r.Add("xmark", syn, "bench"); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := r.EstimateBatch(ctx, "xmark", queries, true); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if bc.publish {
-					b.StopTimer()
-					const q = "/site/regions/africa/item"
-					est, err := syn.Estimate(q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := syn.Feedback(q, est+1); err != nil {
-						b.Fatal(err)
-					}
-					syn.Snapshot().EPTStats()
-					b.StartTimer()
-				}
-				if _, err := r.EstimateBatch(ctx, "xmark", queries, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEstimateParallel measures the lock-free estimate path under
 // concurrency — the tentpole number. The registry's cache is capacity 1, so
 // effectively every request pays the full plan-run path against the pinned
@@ -292,7 +242,7 @@ func BenchmarkEstimateParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := r.Estimate(ctx, "xmark", queries[i%len(queries)], false); err != nil {
+			if _, err := r.Estimate(ctx, "xmark", queries[i%len(queries)]); err != nil {
 				b.Error(err) // FailNow must not run on a RunParallel worker
 				return
 			}
@@ -342,7 +292,7 @@ func BenchmarkEstimateMultiTenant(b *testing.B) {
 				b.Error("rate limiter rejected a benchmark request")
 				return
 			}
-			if _, err := r.Estimate(ctx, keys[ten], queries[i%len(queries)], false); err != nil {
+			if _, err := r.Estimate(ctx, keys[ten], queries[i%len(queries)]); err != nil {
 				b.Error(err)
 				return
 			}
@@ -402,7 +352,7 @@ func BenchmarkEstimateDuringFeedbackStorm(b *testing.B) {
 	lat := make([]time.Duration, 0, b.N)
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := r.Estimate(ctx, "storm", queries[i%len(queries)], false); err != nil {
+		if _, err := r.Estimate(ctx, "storm", queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 		lat = append(lat, time.Since(start))
@@ -441,7 +391,7 @@ func BenchmarkEstimateObsOverhead(b *testing.B) {
 		runtime.GC()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Estimate(ctx, "xmark", queries[i%len(queries)], false); err != nil {
+			if _, err := r.Estimate(ctx, "xmark", queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -31,19 +31,17 @@ const evictionWindow = 4
 // eviction *tiebreak* signal and a savings *estimate*, not a calibrated
 // CPU-time measurement.
 type EstimateResult struct {
-	Est      float64
-	Streamed bool
-	CostNs   int64
+	Est    float64
+	CostNs int64
 }
 
 // cacheKey names one query of one synopsis registration (Entry.id, so a
 // re-registered name shares nothing with its predecessor). The query is the
 // raw text the client sent, so that a hit skips the parse; two spellings of
-// one query take two entries. Streaming-matcher results are keyed apart.
+// one query take two entries.
 type cacheKey struct {
-	id     uint64
-	query  string
-	stream bool
+	id    uint64
+	query string
 }
 
 // cacheEntry is one query's compiled plan and the estimate it produced at

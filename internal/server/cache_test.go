@@ -67,22 +67,18 @@ func TestCacheGetPut(t *testing.T) {
 	if _, ok := getAt(c, sn, 2, "/a/b", nil); ok {
 		t.Fatal("key leaked across synopses")
 	}
-	// The streaming matcher's answer is keyed apart.
-	if _, _, _, ok := c.Get(cacheKey{id: 1, query: "/a/b", stream: true}, sn, nil); ok {
-		t.Fatal("streaming lookup served the standard matcher's estimate")
-	}
 	// Overwrite.
-	putAt(c, sn, 1, "/a/b", EstimateResult{Est: 9, Streamed: true}, nil)
+	putAt(c, sn, 1, "/a/b", EstimateResult{Est: 9}, nil)
 	v, _ = getAt(c, sn, 1, "/a/b", nil)
-	if v.Est != 9 || !v.Streamed {
+	if v.Est != 9 {
 		t.Fatalf("overwrite lost: %v", v)
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.Hits != 2 || st.Misses != 3 {
-		t.Fatalf("stats = %+v, want entries=1 hits=2 misses=3", st)
+	if st.Entries != 1 || st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want entries=1 hits=2 misses=2", st)
 	}
-	if st.HitRate != 0.4 {
-		t.Fatalf("hit rate = %v, want 0.4", st.HitRate)
+	if st.HitRate != 0.5 {
+		t.Fatalf("hit rate = %v, want 0.5", st.HitRate)
 	}
 }
 

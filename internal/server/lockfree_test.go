@@ -16,7 +16,7 @@ import (
 // the acceptance criterion: after the entry lookup, the estimate path
 // acquires no entry mutex. The entry's write lock is held (wedged, as a
 // stuck feedback or a slow base-snapshot fsync would) for the whole test;
-// batches — cold and warm, standard and streaming — must complete promptly
+// batches — cold and warm — must complete promptly
 // and match the pinned snapshot's values exactly. Before the snapshot
 // refactor this test would deadlock: estimates took the read side of the
 // wedged RWMutex.
@@ -41,18 +41,14 @@ func TestEstimateLockFreeUnderWedgedMutation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for round := 0; round < 3; round++ {
-			for _, streaming := range []bool{false, true} {
-				items, err := r.EstimateBatch(context.Background(), "fig2", queries, streaming)
-				if err != nil {
-					done <- err
-					return
-				}
-				if !streaming {
-					for i := range items {
-						if items[i].Estimate != want[i] {
-							t.Errorf("%s = %v, want %v", queries[i], items[i].Estimate, want[i])
-						}
-					}
+			items, err := r.EstimateBatch(context.Background(), "fig2", queries, false)
+			if err != nil {
+				done <- err
+				return
+			}
+			for i := range items {
+				if items[i].Estimate != want[i] {
+					t.Errorf("%s = %v, want %v", queries[i], items[i].Estimate, want[i])
 				}
 			}
 		}
@@ -99,7 +95,7 @@ func TestEstimateScopeNoStalePollution(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.EstimateBatch(ctx, "fig2", queries, i%2 == 0); err != nil {
+				if _, err := r.EstimateBatch(ctx, "fig2", queries, false); err != nil {
 					t.Error(err)
 					return
 				}
@@ -244,7 +240,7 @@ func TestEstimateP99BoundedDuringFeedbackStorm(t *testing.T) {
 	lat := make([]time.Duration, 0, probes)
 	for i := 0; i < probes; i++ {
 		start := time.Now()
-		if _, err := r.Estimate(ctx, "fig2", queries[i%len(queries)], false); err != nil {
+		if _, err := r.Estimate(ctx, "fig2", queries[i%len(queries)]); err != nil {
 			t.Fatal(err)
 		}
 		lat = append(lat, time.Since(start))

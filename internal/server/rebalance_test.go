@@ -42,7 +42,7 @@ func TestRebalanceDoesNotStallUnrelatedEstimates(t *testing.T) {
 	if _, err := reg.Add("b", buildFig2(t), "test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Estimate(context.Background(), "b", "/a/c/s", false); err != nil {
+	if _, err := reg.Estimate(context.Background(), "b", "/a/c/s"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestRebalanceDoesNotStallUnrelatedEstimates(t *testing.T) {
 	lat := make([]time.Duration, 0, rounds)
 	for i := 0; i < rounds; i++ {
 		start := time.Now()
-		if _, err := reg.Estimate(context.Background(), "b", "/a/c/s", false); err != nil {
+		if _, err := reg.Estimate(context.Background(), "b", "/a/c/s"); err != nil {
 			t.Fatal(err)
 		}
 		lat = append(lat, time.Since(start))
@@ -383,7 +383,7 @@ func TestRebalanceConcurrentChurnHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 120; i++ {
-			if _, err := reg.Estimate(context.Background(), "base", "/a/c/s", false); err != nil {
+			if _, err := reg.Estimate(context.Background(), "base", "/a/c/s"); err != nil {
 				t.Error(err)
 				return
 			}

@@ -844,10 +844,9 @@ func (r *Registry) Replan() {
 }
 
 // Estimate estimates a single query against the named synopsis, consulting
-// the cache first. streaming selects the single-pass bounded-memory matcher
-// with fallback to the standard matcher.
-func (r *Registry) Estimate(ctx context.Context, name, query string, streaming bool) (api.EstimateItem, error) {
-	items, err := r.EstimateBatch(ctx, name, []string{query}, streaming)
+// the cache first.
+func (r *Registry) Estimate(ctx context.Context, name, query string) (api.EstimateItem, error) {
+	items, err := r.EstimateBatch(ctx, name, []string{query}, false)
 	if err != nil {
 		return api.EstimateItem{}, err
 	}
@@ -876,9 +875,14 @@ const minParallelMisses = 8
 // first cache miss, and finishBatch does the rest. The xtp reader runs the
 // same two phases apart, and finishes on a goroutine of its own only a
 // batch the probe could not answer.
-func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []string, streaming bool) ([]api.EstimateItem, error) {
+//
+// The last parameter is ignored. It selected the retired streaming
+// matcher, and stays only for the benchmark's replay
+// (bench/xseedload/replay.go), which passes false; it goes with the next
+// change to bench/.
+func (r *Registry) EstimateBatch(ctx context.Context, name string, queries []string, _ bool) ([]api.EstimateItem, error) {
 	var b estBatch
-	if err := r.probeBatch(ctx, &b, name, queries, streaming); err != nil {
+	if err := r.probeBatch(ctx, &b, name, queries); err != nil {
 		return nil, err
 	}
 	return r.finishBatch(ctx, &b)
@@ -892,7 +896,6 @@ type estBatch struct {
 	e       *Entry
 	sn      *xseed.Snapshot
 	queries []string
-	stream  bool
 	items   []api.EstimateItem
 
 	// next is the probe's first miss, len(queries) when the probe answered
@@ -965,7 +968,7 @@ func (b *estBatch) firstCopy(i int) (seen, bool) {
 // first miss. It parses nothing and runs no plan, so it costs one cache
 // probe per query it reaches. When it reaches the end the items are
 // final, repeats copied, and finishBatch returns them as they are.
-func (r *Registry) probeBatch(ctx context.Context, b *estBatch, name string, queries []string, streaming bool) error {
+func (r *Registry) probeBatch(ctx context.Context, b *estBatch, name string, queries []string) error {
 	e, err := r.Get(name)
 	if err != nil {
 		return err
@@ -973,7 +976,7 @@ func (r *Registry) probeBatch(ctx context.Context, b *estBatch, name string, que
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	b.e, b.sn, b.queries, b.stream = e, e.syn.Snapshot(), queries, streaming
+	b.e, b.sn, b.queries = e, e.syn.Snapshot(), queries
 	b.items = make([]api.EstimateItem, len(queries))
 	if len(queries) > len(b.hitCost) {
 		b.scratch = dedupPool.Get().(*dedupScratch)
@@ -1012,7 +1015,7 @@ func (r *Registry) probe(b *estBatch, sp *obs.Span, i int) (miss bool, pl *xseed
 		return false, nil, 0
 	}
 	sp.Reset()
-	pl, planNs, v, hit := r.cache.Get(cacheKey{id: b.e.id, query: b.queries[i], stream: b.stream}, b.sn, b.e.ten)
+	pl, planNs, v, hit := r.cache.Get(cacheKey{id: b.e.id, query: b.queries[i]}, b.sn, b.e.ten)
 	sp.Mark(obs.StageCacheProbe)
 	if b.first != nil { // v is zero unless hit
 		b.first[b.queries[i]] = seen{i: i, saved: v.CostNs}
@@ -1022,7 +1025,7 @@ func (r *Registry) probe(b *estBatch, sp *obs.Span, i int) (miss bool, pl *xseed
 	if !hit {
 		return true, pl, planNs
 	}
-	b.items[i] = api.EstimateItem{Query: pl.String(), Estimate: v.Est, Streamed: v.Streamed, Cached: true}
+	b.items[i] = api.EstimateItem{Query: pl.String(), Estimate: v.Est, Cached: true}
 	sp.Flush()
 	return false, nil, 0
 }
@@ -1059,12 +1062,11 @@ func (r *Registry) finishBatch(ctx context.Context, b *estBatch) ([]api.Estimate
 	}
 	// The run closure below reads locals, not b: capturing b would move
 	// every caller's batch to the heap.
-	e, sn, items, queries, streaming := b.e, b.sn, b.items, b.queries, b.stream
+	e, sn, items, queries := b.e, b.sn, b.items, b.queries
 	type miss struct {
 		plan   *xseed.Plan
-		q      *xseed.Query // the tree just parsed, nil when the cache supplied the plan
-		planNs int64        // parse + compile, as measured or as the cache recorded it
-		i      int          // item position
+		planNs int64 // parse + compile, as measured or as the cache recorded it
+		i      int   // item position
 	}
 	var order []miss // misses in first-seen order
 	// A span of its own: the probe's may have ended on another goroutine,
@@ -1088,7 +1090,7 @@ func (r *Registry) finishBatch(ctx context.Context, b *estBatch) ([]api.Estimate
 				items[i] = api.EstimateItem{Query: api.EchoQuery(queries[i]), Error: api.WrapError(err, api.CodeBadRequest)}
 				continue
 			}
-			m.plan, m.q = sn.Compile(q), q
+			m.plan = sn.Compile(q)
 			m.planNs = time.Since(start).Nanoseconds()
 			sp.Mark(obs.StageCompile)
 		}
@@ -1112,19 +1114,14 @@ func (r *Registry) finishBatch(ctx context.Context, b *estBatch) ([]api.Estimate
 	ver := sn.Version()
 	run := func(m *miss) {
 		start := time.Now()
-		var v EstimateResult
-		if streaming {
-			v.Est, v.Streamed = m.plan.RunStreaming(sn, m.q)
-		} else {
-			v.Est = m.plan.Run(sn)
-		}
+		v := EstimateResult{Est: m.plan.Run(sn)}
 		v.CostNs = time.Since(start).Nanoseconds()
 		// The plan-run stage reuses the CostNs measurement the cache needs
 		// anyway — the stage breakdown adds zero clock reads here, and
 		// workers observe wait-free from any goroutine.
 		e.stages.Observe(obs.StagePlanRun, v.CostNs)
-		items[m.i].Estimate, items[m.i].Streamed = v.Est, v.Streamed
-		r.cache.Put(cacheKey{id: e.id, query: queries[m.i], stream: streaming}, m.plan, m.planNs, v, ver, e.ten)
+		items[m.i].Estimate = v.Est
+		r.cache.Put(cacheKey{id: e.id, query: queries[m.i]}, m.plan, m.planNs, v, ver, e.ten)
 	}
 	if len(order) >= minParallelMisses {
 		var next atomic.Int64

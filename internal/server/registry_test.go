@@ -63,7 +63,7 @@ func TestRegistryEstimateCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "/a/c/s"
-	first, err := r.Estimate(context.Background(), "fig2", q, false)
+	first, err := r.Estimate(context.Background(), "fig2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRegistryEstimateCaching(t *testing.T) {
 	if first.Estimate <= 0 {
 		t.Fatalf("estimate %v for %s (actual %d)", first.Estimate, q, actual)
 	}
-	second, err := r.Estimate(context.Background(), "fig2", q, false)
+	second, err := r.Estimate(context.Background(), "fig2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,67 +95,58 @@ func TestRegistryEstimateCaching(t *testing.T) {
 	if a.Query != b.Query || a.Estimate != b.Estimate || a.Query != "/a/c[.//p]" || a.Estimate <= 0 {
 		t.Fatalf("spelling variants disagree: %+v vs %+v", a, b)
 	}
-	variant, err := r.Estimate(context.Background(), "fig2", "/a/c[//p]", false)
+	variant, err := r.Estimate(context.Background(), "fig2", "/a/c[//p]")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !variant.Cached || variant.Query != a.Query || variant.Estimate != a.Estimate {
 		t.Fatalf("repeated spelling = %+v, want a cached repeat of %+v", variant, a)
 	}
-	// Streaming mode is keyed separately and reports its matcher.
-	stream, err := r.Estimate(context.Background(), "fig2", q, true)
+	// The retired streaming flag is ignored: a flagged batch is answered
+	// from the unflagged request's cache entry.
+	flagged, err := r.EstimateBatch(context.Background(), "fig2", []string{q}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.Cached {
-		t.Fatal("streaming estimate hit the standard-matcher cache entry")
+	if !flagged[0].Cached || flagged[0].Estimate != first.Estimate {
+		t.Fatalf("flagged = %+v, want a cached repeat of %v", flagged[0], first.Estimate)
 	}
 }
 
 // TestRegistryFeedbackRerunsCachedPlan: feedback publishes a new snapshot,
 // so the next estimate of a cached query is recomputed — not Cached — from
-// the plan the cache kept, which counts a plan hit and no parse. The
-// streaming matcher reruns the same way, re-parsing the plan's normalized
-// text, and agrees with the library.
+// the plan the cache kept, which counts a plan hit and no parse.
 func TestRegistryFeedbackRerunsCachedPlan(t *testing.T) {
-	for _, streaming := range []bool{false, true} {
-		_, syn := buildFixtureSynopsis(t, nil)
-		r := NewRegistry(0, 0)
-		if _, err := r.Add("fig2", syn, "test"); err != nil {
-			t.Fatal(err)
-		}
-		const q = "/a/c/s"
-		if _, err := r.Estimate(context.Background(), "fig2", q, streaming); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Feedback("fig2", q, 9); err != nil {
-			t.Fatal(err)
-		}
-		want, wantStreamed, err := syn.EstimateStreaming(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !streaming {
-			want, wantStreamed = 9, false
-		}
-		before := r.cache.Stats()
-		got, err := r.Estimate(context.Background(), "fig2", q, streaming)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cached || got.Estimate != want || got.Streamed != wantStreamed {
-			t.Fatalf("streaming=%v: estimate after feedback = %+v, want an uncached %v (streamed %v)", streaming, got, want, wantStreamed)
-		}
-		after := r.cache.Stats()
-		if after.PlanHits != before.PlanHits+1 || after.PlanMisses != before.PlanMisses || after.Hits != before.Hits {
-			t.Fatalf("streaming=%v: cache counters %+v -> %+v, want one plan hit and no estimate hit", streaming, before, after)
-		}
-		if again, _ := r.Estimate(context.Background(), "fig2", q, streaming); !again.Cached || again.Estimate != want {
-			t.Fatalf("streaming=%v: repeat after the rerun = %+v, want a cached %v", streaming, again, want)
-		}
-		if after.Entries != 1 {
-			t.Fatalf("streaming=%v: one query holds %d cache entries", streaming, after.Entries)
-		}
+	_, syn := buildFixtureSynopsis(t, nil)
+	r := NewRegistry(0, 0)
+	if _, err := r.Add("fig2", syn, "test"); err != nil {
+		t.Fatal(err)
+	}
+	const q = "/a/c/s"
+	if _, err := r.Estimate(context.Background(), "fig2", q); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Feedback("fig2", q, 9); err != nil {
+		t.Fatal(err)
+	}
+	const want = 9
+	before := r.cache.Stats()
+	got, err := r.Estimate(context.Background(), "fig2", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cached || got.Estimate != want {
+		t.Fatalf("estimate after feedback = %+v, want an uncached %v", got, want)
+	}
+	after := r.cache.Stats()
+	if after.PlanHits != before.PlanHits+1 || after.PlanMisses != before.PlanMisses || after.Hits != before.Hits {
+		t.Fatalf("cache counters %+v -> %+v, want one plan hit and no estimate hit", before, after)
+	}
+	if again, _ := r.Estimate(context.Background(), "fig2", q); !again.Cached || again.Estimate != want {
+		t.Fatalf("repeat after the rerun = %+v, want a cached %v", again, want)
+	}
+	if after.Entries != 1 {
+		t.Fatalf("one query holds %d cache entries", after.Entries)
 	}
 }
 
@@ -246,7 +237,7 @@ func TestEstimateProbeFinishCountsOnce(t *testing.T) {
 	})
 	split, splitCounts := run(func(r *Registry) ([]api.EstimateItem, error) {
 		var b estBatch
-		if err := r.probeBatch(ctx, &b, "fig2", batch, false); err != nil {
+		if err := r.probeBatch(ctx, &b, "fig2", batch); err != nil {
 			return nil, err
 		}
 		if b.answered() || b.next != 1 {
@@ -373,12 +364,12 @@ func TestEstimateMissAllocs(t *testing.T) {
 	ctx := context.Background()
 	buf := make([]byte, 0, 64<<10)
 	serve := func(frame []byte) {
-		name, queries, streaming, err := wire.DecodeEstimateReq(frame)
+		name, queries, _, err := wire.DecodeEstimateReq(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b estBatch
-		if aerr := svc.estimate(ctx, &b, ten, name, queries, streaming); aerr != nil {
+		if aerr := svc.estimate(ctx, &b, ten, name, queries); aerr != nil {
 			t.Fatal(aerr)
 		}
 		items, aerr := svc.finishEstimate(ctx, &b)
@@ -420,7 +411,7 @@ func TestRegistryPutReplacesCacheGeneration(t *testing.T) {
 	if _, err := r.Add("fig2", syn, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Estimate(context.Background(), "fig2", "/a/u", false); err != nil {
+	if _, err := r.Estimate(context.Background(), "fig2", "/a/u"); err != nil {
 		t.Fatal(err)
 	}
 	// Replace the synopsis with one built from a different document; the
@@ -436,7 +427,7 @@ func TestRegistryPutReplacesCacheGeneration(t *testing.T) {
 	if _, err := r.Put("fig2", syn2, "replacement"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Estimate(context.Background(), "fig2", "/a/u", false)
+	got, err := r.Estimate(context.Background(), "fig2", "/a/u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +444,7 @@ func TestRegistryPutReplacesCacheGeneration(t *testing.T) {
 	if _, err := r.Add("fig2", syn, "test"); err != nil {
 		t.Fatal(err)
 	}
-	again, err := r.Estimate(context.Background(), "fig2", "/a/u", false)
+	again, err := r.Estimate(context.Background(), "fig2", "/a/u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +459,7 @@ func TestRegistryKernelOnlyFeedbackKeepsCacheWarm(t *testing.T) {
 	if _, err := r.Add("bare", syn, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Estimate(context.Background(), "bare", "/a/u", false); err != nil {
+	if _, err := r.Estimate(context.Background(), "bare", "/a/u"); err != nil {
 		t.Fatal(err)
 	}
 	// Feedback on a kernel-only synopsis can't change estimates, so it must
@@ -476,7 +467,7 @@ func TestRegistryKernelOnlyFeedbackKeepsCacheWarm(t *testing.T) {
 	if err := r.Feedback("bare", "/a/u", 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Estimate(context.Background(), "bare", "/a/u", false)
+	got, err := r.Estimate(context.Background(), "bare", "/a/u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,13 +499,13 @@ func TestRegistryFeedbackInvalidatesAndTunes(t *testing.T) {
 	// Pre-computation already stored the exact count; feed back another
 	// one, as after the document changed.
 	actual := float64(count + 3)
-	if _, err := r.Estimate(context.Background(), "fig2", q, false); err != nil {
+	if _, err := r.Estimate(context.Background(), "fig2", q); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Feedback("fig2", q, actual); err != nil {
 		t.Fatal(err)
 	}
-	after, err := r.Estimate(context.Background(), "fig2", q, false)
+	after, err := r.Estimate(context.Background(), "fig2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +522,7 @@ func TestRegistryFeedbackInvalidatesAndTunes(t *testing.T) {
 	if err := r.Feedback("fig2", q, actual); err != nil {
 		t.Fatal(err)
 	}
-	again, err := r.Estimate(context.Background(), "fig2", q, false)
+	again, err := r.Estimate(context.Background(), "fig2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,14 +540,14 @@ func TestRegistrySubtreeUpdateInvalidates(t *testing.T) {
 	if _, err := r.Add("fig2", syn, "test"); err != nil {
 		t.Fatal(err)
 	}
-	before, err := r.Estimate(context.Background(), "fig2", "/a/u", false)
+	before, err := r.Estimate(context.Background(), "fig2", "/a/u")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.AddSubtree("fig2", []string{"a"}, "<u/>"); err != nil {
 		t.Fatal(err)
 	}
-	after, err := r.Estimate(context.Background(), "fig2", "/a/u", false)
+	after, err := r.Estimate(context.Background(), "fig2", "/a/u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +560,7 @@ func TestRegistrySubtreeUpdateInvalidates(t *testing.T) {
 	if err := r.RemoveSubtree("fig2", []string{"a"}, "<u/>"); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := r.Estimate(context.Background(), "fig2", "/a/u", false)
+	restored, err := r.Estimate(context.Background(), "fig2", "/a/u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +611,7 @@ func TestRegistryRebalanceInvalidatesCache(t *testing.T) {
 	if err := r.Feedback("fig2", q, float64(actual)); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := r.Estimate(context.Background(), "fig2", q, false)
+	warm, err := r.Estimate(context.Background(), "fig2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +621,7 @@ func TestRegistryRebalanceInvalidatesCache(t *testing.T) {
 	// Shrinking the aggregate budget to the kernel evicts the HET; the
 	// warm cache must not keep serving the HET-backed value.
 	r.SetAggregateBudget(syn.KernelSizeBytes())
-	cold, err := r.Estimate(context.Background(), "fig2", q, false)
+	cold, err := r.Estimate(context.Background(), "fig2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -763,17 +754,17 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 
 	var wg sync.WaitGroup
 	const rounds = 60
-	// Parallel estimators, mixing batch, single, and streaming calls.
+	// Parallel estimators, mixing batch and single calls.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := r.EstimateBatch(context.Background(), "fig2", queries, i%3 == 0); err != nil {
+				if _, err := r.EstimateBatch(context.Background(), "fig2", queries, false); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := r.Estimate(context.Background(), "fig2", queries[(g+i)%len(queries)], false); err != nil {
+				if _, err := r.Estimate(context.Background(), "fig2", queries[(g+i)%len(queries)]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -819,7 +810,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	// The document is back to its original shape; a fresh estimate must
 	// agree with a never-hammered synopsis.
 	_, control := buildFixtureSynopsis(t, nil)
-	got, err := r.Estimate(context.Background(), "fig2", "/a/u", false)
+	got, err := r.Estimate(context.Background(), "fig2", "/a/u")
 	if err != nil {
 		t.Fatal(err)
 	}

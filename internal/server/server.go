@@ -699,8 +699,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if req.Query != "" {
 		queries = append([]string{req.Query}, queries...)
 	}
+	// req.Streaming, the retired matcher flag, is accepted and ignored.
 	var b estBatch
-	aerr := s.svc.estimate(r.Context(), &b, s.tenant(r), r.PathValue("name"), queries, req.Streaming)
+	aerr := s.svc.estimate(r.Context(), &b, s.tenant(r), r.PathValue("name"), queries)
 	var items []api.EstimateItem
 	if aerr == nil {
 		items, aerr = s.svc.finishEstimate(r.Context(), &b)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -233,12 +234,18 @@ func TestHTTPEstimateSingleBatchStreaming(t *testing.T) {
 		t.Fatalf("batch[2] = %+v", batch.Results[2])
 	}
 
-	// Streaming mode reports which matcher ran; a simple path streams.
-	var stream api.EstimateResponse
-	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate",
-		api.EstimateRequest{Query: "/a/c/s/s/t", Streaming: true}, &stream)
-	if !stream.Results[0].Streamed {
-		t.Fatalf("simple path did not stream: %+v", stream.Results[0])
+	// The retired streaming flag is accepted and ignored: the batch above,
+	// resent with and without it, gets the same items, from the same cache
+	// entries.
+	req := api.EstimateRequest{Queries: []string{"/a/c/s", "not a query ???", "//s//p"}}
+	var plain, flagged api.EstimateResponse
+	doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", req, &plain)
+	req.Streaming = true
+	if resp := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/synopses/fig2/estimate", req, &flagged); resp.StatusCode != http.StatusOK {
+		t.Fatalf("flagged batch: status %d", resp.StatusCode)
+	}
+	if !reflect.DeepEqual(flagged, plain) || !flagged.Results[2].Cached {
+		t.Fatalf("flagged batch = %+v, want the cached unflagged batch %+v", flagged.Results, plain.Results)
 	}
 
 	// A parse failure whose query text contains "not found" is still a 400:

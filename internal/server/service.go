@@ -46,7 +46,7 @@ func (s *service) admit(t *Tenant, name string, cost int) (string, *api.Error) {
 // completes it with finishEstimate — HTTP at once, on its handler
 // goroutine; xtp on a goroutine dispatched for it, so that the reader
 // never parses or runs a plan.
-func (s *service) estimate(ctx context.Context, b *estBatch, t *Tenant, name string, queries []string, streaming bool) *api.Error {
+func (s *service) estimate(ctx context.Context, b *estBatch, t *Tenant, name string, queries []string) *api.Error {
 	if len(queries) == 0 {
 		return api.Errorf(api.CodeBadRequest, "missing query or queries")
 	}
@@ -54,7 +54,7 @@ func (s *service) estimate(ctx context.Context, b *estBatch, t *Tenant, name str
 	if aerr != nil {
 		return aerr
 	}
-	if err := s.reg.probeBatch(ctx, b, key, queries, streaming); err != nil {
+	if err := s.reg.probeBatch(ctx, b, key, queries); err != nil {
 		return toAPIError(err)
 	}
 	return nil

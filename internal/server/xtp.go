@@ -290,12 +290,13 @@ func (cn *xtpConn) readLoop() {
 			cn.write(wire.FrameAuthResp, f.Corr, *buf)
 			wire.PutBuf(buf)
 		case wire.FrameEstimateReq:
-			name, queries, streaming, err := wire.DecodeEstimateReq(f.Payload)
+			// The retired streaming bit is accepted and ignored.
+			name, queries, _, err := wire.DecodeEstimateReq(f.Payload)
 			if err != nil {
 				cn.protocolError(f.Corr, err)
 				return
 			}
-			cn.estimate(f.Corr, name, queries, streaming)
+			cn.estimate(f.Corr, name, queries)
 		case wire.FrameFeedbackReq:
 			name, query, actual, err := wire.DecodeFeedbackReq(f.Payload)
 			if err != nil {
@@ -372,11 +373,11 @@ func (cn *xtpConn) request() (*Tenant, time.Time) {
 // hit starts no goroutine. A batch with a miss is dispatched to finish on
 // its own goroutine, so a slow estimate never holds up a fast one behind
 // it.
-func (cn *xtpConn) estimate(corr uint64, name string, queries []string, streaming bool) {
+func (cn *xtpConn) estimate(corr uint64, name string, queries []string) {
 	x := cn.x
 	t, start := cn.request()
 	var b estBatch
-	aerr := x.svc.estimate(x.baseCtx, &b, t, name, queries, streaming)
+	aerr := x.svc.estimate(x.baseCtx, &b, t, name, queries)
 	if aerr == nil && !b.answered() {
 		pending := b // a copy, so that only a dispatched batch moves to the heap
 		cn.dispatch(corr, start, x.m.estimateSeconds, func(buf *[]byte) (wire.FrameType, *api.Error) {

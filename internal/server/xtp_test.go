@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -164,6 +165,43 @@ func parseErrorItem(t *testing.T, f wire.Frame, offset int) api.EstimateItem {
 		t.Fatalf("parse detail = %+v, %v; want offset %d", d, ok, offset)
 	}
 	return it
+}
+
+// TestXTPRetiredStreamingFlag: an EstimateReq with the retired flag bit 0
+// set, built by hand as an older client sends it, is accepted and gets the
+// same items as the same batch without it, from the same cache entries;
+// no item of the answer sets the retired bit 1.
+func TestXTPRetiredStreamingFlag(t *testing.T) {
+	_, addr := startXTP(t, nil)
+	_, r, w := dialRaw(t, addr)
+	queries := []string{"/a/c/s", "//s[@", "//s//p"}
+	payload := func(flags byte) []byte { // name str | flags | nq | queries
+		b := append([]byte{4}, "fig2"...)
+		b = append(b, flags, byte(len(queries)))
+		for _, q := range queries {
+			b = append(append(b, byte(len(q))), q...)
+		}
+		return b
+	}
+	exchange(t, r, w, wire.FrameEstimateReq, 1, payload(0)) // fills the cache
+	var got [2][]api.EstimateItem
+	for i, flags := range []byte{0, 1} {
+		f := exchange(t, r, w, wire.FrameEstimateReq, uint64(2+i), payload(flags))
+		if f.Type != wire.FrameEstimateResp {
+			t.Fatalf("flags %#x: answered with %s, want EstimateResp", flags, f.Type)
+		}
+		items, err := wire.DecodeEstimateResp(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Payload[1]&(1<<1) != 0 { // the first item's flags, after the one-byte count
+			t.Fatalf("flags %#x: the first item sets the retired bit 1", flags)
+		}
+		got[i] = items
+	}
+	if !reflect.DeepEqual(got[1], got[0]) || !got[1][0].Cached || !got[1][2].Cached {
+		t.Fatalf("flagged batch = %+v, want the cached unflagged batch %+v", got[1], got[0])
+	}
 }
 
 // TestXTPDeeplyNestedQuery: a query nesting predicates millions deep is a
@@ -575,7 +613,7 @@ func TestXTPBodylessRequestWithPayload(t *testing.T) {
 func TestXTPCachedEstimateOvertakesSlowBatch(t *testing.T) {
 	reg, addr := startXTP(t, nil)
 	_, r, w := dialRaw(t, addr)
-	if _, err := reg.Estimate(context.Background(), "fig2", "/a/c/s", false); err != nil {
+	if _, err := reg.Estimate(context.Background(), "fig2", "/a/c/s"); err != nil {
 		t.Fatal(err)
 	}
 	slow := make([]string, 4000)

@@ -23,13 +23,15 @@ import (
 // Decoders validate every length prefix against the bytes actually present
 // before allocating, so a hostile frame costs at most its own size.
 
-// EstimateReq item flags.
+// EstimateReq flags. Bit 0 once selected a second, streaming matcher; it
+// is retired: still encoded and decoded, so a peer that sets it stays
+// well-formed, but servers ignore it (docs/PROTOCOL.md §4.2).
 const estReqStreaming = 1 << 0
 
-// EstimateResp item flags.
+// EstimateResp item flags. Bit 1 is retired with the streaming matcher:
+// never set, and ignored when read (docs/PROTOCOL.md §4.3).
 const (
 	estItemCached   = 1 << 0
-	estItemStreamed = 1 << 1
 	estItemHasError = 1 << 2
 )
 
@@ -39,6 +41,8 @@ const ackHasError = 1 << 0
 // AppendEstimateReq encodes an EstimateBatch request:
 //
 //	name str | flags(1) | nq uvarint | nq × (query str)
+//
+// streaming sets the retired flag bit 0, which servers ignore.
 func AppendEstimateReq(b []byte, name string, queries []string, streaming bool) []byte {
 	b = appendString(b, name)
 	var flags byte
@@ -57,7 +61,8 @@ func AppendEstimateReq(b []byte, name string, queries []string, streaming bool) 
 // query are substrings of one copy of p, so a frame costs two allocations
 // whatever its query count, and nothing returned aliases p. A caller that
 // keeps one query past the request keeps the whole copy alive, so
-// long-lived holders (the estimate cache) clone what they keep.
+// long-lived holders (the estimate cache) clone what they keep. streaming
+// reports the retired flag bit 0.
 func DecodeEstimateReq(p []byte) (name string, queries []string, streaming bool, err error) {
 	s := string(p)
 	d := dec{b: p}
@@ -89,9 +94,6 @@ func AppendEstimateResp(b []byte, items []api.EstimateItem) []byte {
 		if it.Cached {
 			flags |= estItemCached
 		}
-		if it.Streamed {
-			flags |= estItemStreamed
-		}
 		if it.Error != nil {
 			flags |= estItemHasError
 		}
@@ -118,7 +120,6 @@ func DecodeEstimateResp(p []byte) ([]api.EstimateItem, error) {
 		it := &items[i]
 		flags := d.byte()
 		it.Cached = flags&estItemCached != 0
-		it.Streamed = flags&estItemStreamed != 0
 		it.Query = d.str()
 		if flags&estItemHasError != 0 {
 			it.Error = d.apiError()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestEstimateReqRoundTrip(t *testing.T) {
 func TestEstimateRespRoundTrip(t *testing.T) {
 	in := []api.EstimateItem{
 		{Query: "/a/b", Estimate: 42.5, Cached: true},
-		{Query: "/a//c", Estimate: math.Inf(1), Streamed: true},
+		{Query: "/a//c", Estimate: math.Inf(1)},
 		{Query: "/bad[", Error: api.NewParseError("parse error", 5, "[")},
 		{Query: "", Estimate: 0},
 	}
@@ -127,9 +128,16 @@ func TestEstimateRespRoundTrip(t *testing.T) {
 	}
 	for i := range in {
 		a, b := in[i], out[i]
-		if a.Query != b.Query || a.Estimate != b.Estimate || a.Cached != b.Cached || a.Streamed != b.Streamed {
+		if a.Query != b.Query || a.Estimate != b.Estimate || a.Cached != b.Cached {
 			t.Fatalf("item %d: %+v -> %+v", i, a, b)
 		}
+	}
+	// The retired item bit 1 (streamed) is ignored when read: set on the
+	// first item, after the one-byte item count, it changes nothing.
+	retired := bytes.Clone(b)
+	retired[1] |= 1 << 1
+	if again, err := DecodeEstimateResp(retired); err != nil || !reflect.DeepEqual(again, out) {
+		t.Fatalf("item with the retired bit 1 decodes to %+v, %v; want %+v", again, err, out)
 	}
 	// The parse error survives with its structural detail intact.
 	d, ok := out[2].Error.ParseDetail()

@@ -49,17 +49,6 @@ func (sn *Snapshot) Estimate(query string) (float64, error) {
 	return sn.EstimateQuery(q), nil
 }
 
-// EstimateStreamingQuery estimates with the single-pass streaming matcher
-// where the query shape allows, falling back to the standard matcher; the
-// streamed flag reports which path ran (the contract of
-// Synopsis.EstimateStreamingQuery).
-func (sn *Snapshot) EstimateStreamingQuery(q *Query) (est float64, streamed bool) {
-	if v, ok := sn.es.StreamEstimate(q.p); ok {
-		return v, true
-	}
-	return sn.EstimateQuery(q), false
-}
-
 // EPTStats reports the size of the snapshot's expanded path tree (building
 // it if no estimate has yet).
 func (sn *Snapshot) EPTStats() (nodes int, truncated bool) {
@@ -81,11 +70,12 @@ func (sn *Snapshot) Compile(q *Query) *Plan {
 
 // Plan is a compiled query: its normalized text and the label-resolved
 // execution plan, and nothing else, because a Plan is what the serving
-// layer caches per query so repeat queries skip parse + compile. What needs
-// the parse tree — recompiling after the dictionary grew, and RunStreaming
-// when the caller no longer holds the query — re-parses the normalized
-// text, which always parses back to the tree it was rendered from (see
-// mustReparse). Plans are safe for concurrent Run calls.
+// layer caches per query so repeat queries skip parse + compile. Every
+// estimate, embedded or served, runs one: the paper's Algorithm 3 over the
+// snapshot's expanded path tree. Recompiling after the dictionary grew
+// needs the parse tree, and re-parses the normalized text, which always
+// parses back to the tree it was rendered from (see mustReparse). Plans
+// are safe for concurrent Run calls.
 type Plan struct {
 	norm string
 	ep   atomic.Pointer[estimate.Plan]
@@ -128,17 +118,4 @@ func mustReparse(norm string) *xpath.Path {
 // Run estimates the compiled query against the snapshot.
 func (p *Plan) Run(sn *Snapshot) float64 {
 	return p.plan(sn).Run(sn.es)
-}
-
-// RunStreaming estimates with the streaming matcher where possible, else
-// with the compiled plan. The matcher walks the parse tree: q is the query p
-// was compiled from, or nil to re-parse p's normalized text.
-func (p *Plan) RunStreaming(sn *Snapshot, q *Query) (est float64, streamed bool) {
-	if q == nil {
-		q = &Query{p: mustReparse(p.norm)}
-	}
-	if v, ok := sn.es.StreamEstimate(q.p); ok {
-		return v, true
-	}
-	return p.Run(sn), false
 }

@@ -63,9 +63,13 @@ func Default1BP() *HETConfig { return &HETConfig{MBP: 1} }
 
 // Synopsis is an XSEED synopsis: kernel plus optional hyper-edge table.
 //
+// Estimates run one matcher: every estimate compiles its query to a Plan,
+// which evaluates the paper's Algorithm 3 over the expanded path tree that
+// Algorithm 2 unfolds from the kernel.
+//
 // Concurrency: the read path is lock-free. Estimate, EstimateQuery,
-// EstimateStreaming, Snapshot, and plan runs are safe to call concurrently
-// with each other AND with any single mutator — every estimate runs against
+// Snapshot, and plan runs are safe to call concurrently with each other
+// AND with any single mutator — every estimate runs against
 // an immutable estimation snapshot (kernel view + expanded path tree +
 // hyper-edge lookup view) published through an atomic pointer, so a reader
 // never blocks on a writer and never observes a half-applied mutation.
@@ -237,25 +241,6 @@ func (s *Synopsis) Estimate(query string) (float64, error) {
 
 // EstimateQuery estimates a pre-parsed query.
 func (s *Synopsis) EstimateQuery(q *Query) float64 { return s.Snapshot().EstimateQuery(q) }
-
-// EstimateStreaming estimates with the single-pass, bounded-memory matcher
-// that consumes the traveler's event stream directly (the execution style
-// of the paper's Algorithm 3). Queries whose predicates are not single
-// child-axis name steps fall back to the standard matcher; the streamed
-// flag reports which path ran.
-func (s *Synopsis) EstimateStreaming(query string) (est float64, streamed bool, err error) {
-	q, err := ParseQuery(query)
-	if err != nil {
-		return 0, false, err
-	}
-	est, streamed = s.Snapshot().EstimateStreamingQuery(q)
-	return est, streamed, nil
-}
-
-// EstimateStreamingQuery is EstimateStreaming for a pre-parsed query.
-func (s *Synopsis) EstimateStreamingQuery(q *Query) (est float64, streamed bool) {
-	return s.Snapshot().EstimateStreamingQuery(q)
-}
 
 // SizeBytes returns the synopsis memory footprint: kernel plus resident
 // HET entries.

@@ -526,36 +526,6 @@ func TestFeedbackDeltaReplay(t *testing.T) {
 	}
 }
 
-func TestEstimateStreaming(t *testing.T) {
-	d := fig2Doc(t)
-	syn, err := BuildSynopsis(d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"/a/c/s/p", "//s//s//p", "/a/c/s[t]/p", "//*"} {
-		want, _ := syn.Estimate(q)
-		got, streamed, err := syn.EstimateStreaming(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !streamed {
-			t.Errorf("%s: expected streaming path", q)
-		}
-		if !approx(got, want, 1e-9) {
-			t.Errorf("%s: streaming %g != standard %g", q, got, want)
-		}
-	}
-	// Unsupported shape falls back.
-	want, _ := syn.Estimate("/a/c[s/s]/t")
-	got, streamed, err := syn.EstimateStreaming("/a/c[s/s]/t")
-	if err != nil || streamed || !approx(got, want, 1e-9) {
-		t.Errorf("fallback: got %g streamed %v err %v, want %g", got, streamed, err, want)
-	}
-	if _, _, err := syn.EstimateStreaming("((("); err == nil {
-		t.Error("parse error not propagated")
-	}
-}
-
 func TestWithoutPredicates(t *testing.T) {
 	q := MustParseQuery("/a/b[c][d]/e[f]")
 	if got := q.WithoutPredicates().String(); got != "/a/b/e" {
@@ -710,9 +680,6 @@ func TestDocumentPastQueryCaps(t *testing.T) {
 				if got := pl.Run(sn); got != want {
 					t.Errorf("%d-step %s: plan %g, estimate %g", q.p.NumSteps(), q.Class(), got, want)
 				}
-				if got, _ := pl.RunStreaming(sn, nil); !approx(got, want, 1e-9*want) {
-					t.Errorf("%d-step %s: streaming plan %g, estimate %g", q.p.NumSteps(), q.Class(), got, want)
-				}
 			}
 			if n := deepest.p.NumSteps(); n != len(tc.labels)+3 {
 				t.Errorf("deepest simple path has %d steps, want %d", n, len(tc.labels)+3)
@@ -722,6 +689,19 @@ func TestDocumentPastQueryCaps(t *testing.T) {
 			}
 			if _, err := ParseQuery(deepest.String()); err == nil {
 				t.Errorf("a %d-step, %d-byte query parsed from a client", deepest.p.NumSteps(), len(deepest.String()))
+			}
+			// A subtree with a new label grows the dictionary, so the
+			// deepest path's plan recompiles from its normalized text.
+			pl := sn.Compile(deepest)
+			if err := syn.AddSubtree([]string{"r"}, "<fresh/>"); err != nil {
+				t.Fatal(err)
+			}
+			next := syn.Snapshot()
+			if pl.CompatibleWith(next) {
+				t.Fatal("a new label left the plan compatible")
+			}
+			if got, want := pl.Run(next), next.EstimateQuery(deepest); got != want {
+				t.Errorf("recompiled plan of the deepest simple path %g, estimate %g", got, want)
 			}
 		})
 	}

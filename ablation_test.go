@@ -1,6 +1,6 @@
 package xseed
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for three design choices of the synopsis core: the
 // counter-stacks structure, the HET's zero-entries for kernel false
 // positives, and the CARD_THRESHOLD pruning knob. Each reports accuracy or
 // size as benchmark metrics so `go test -bench Ablation` quantifies the

@@ -27,6 +27,7 @@
 package api
 
 import (
+	"math"
 	"strings"
 	"time"
 
@@ -103,6 +104,19 @@ func EchoQuery(q string) string {
 		return q
 	}
 	return strings.Clone(runePrefix(q, MaxQueryEcho))
+}
+
+// CheckActual rejects a feedback's actual cardinality that is NaN, infinite
+// or negative as a CodeBadRequest error, and returns nil for any other
+// count. Such a value would become a card the synopsis serves, and one its
+// log cannot hold (JSON has no NaN or infinity), so the served synopsis and
+// what a restart or a standby rebuilds would part. Every backend, embedded
+// and served, checks an actual here before it parses the query.
+func CheckActual(actual float64) *Error {
+	if math.IsNaN(actual) || math.IsInf(actual, 0) || actual < 0 {
+		return Errorf(CodeBadRequest, "actual cardinality %v is not a finite count >= 0", actual)
+	}
+	return nil
 }
 
 // EstimateResponse answers an estimate request; Results holds one item per

@@ -141,7 +141,8 @@ func (c *Client) Synopsis(name string) *Client {
 
 // do runs one API call: marshal in (nil = no body), issue method path,
 // decode a 2xx response into out (nil = discard), and map any non-2xx
-// response onto *api.Error. Idempotent calls retry per WithRetry. A done
+// response onto *api.Error. Idempotent calls retry per WithRetry (see
+// send), a 2xx response whose body fails to read included. A done
 // context always surfaces as the context's error (context.Canceled /
 // context.DeadlineExceeded), never as a transport error string.
 func (c *Client) do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
@@ -152,6 +153,29 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 			return fmt.Errorf("client: marshal request: %w", err)
 		}
 	}
+	var data []byte
+	err := c.send(ctx, method, path, body, idempotent, func(resp *http.Response) (err error) {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+		resp.Body.Close()
+		return err
+	})
+	if err != nil || out == nil || len(data) == 0 {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
+	}
+	return nil
+}
+
+// send is the retry loop under every call but a snapshot upload. It
+// issues method path with body (nil = none, else JSON) and hands a 2xx
+// response to take, which owns the response body. A non-2xx response is
+// an *api.Error decoded from at most 1 MiB of its body; a body that fails
+// to read leaves the status alone to name the code. An idempotent call
+// retries per WithRetry on a transport error, on a take error (a body
+// that failed to read) and on a retriable status (retriableStatus).
+func (c *Client) send(ctx context.Context, method, path string, body []byte, idempotent bool, take func(*http.Response) error) error {
 	attempts := 1
 	if idempotent {
 		attempts += c.retries
@@ -185,24 +209,18 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 			lastErr = fmt.Errorf("client: %s %s: %w", method, path, err)
 			continue
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-		resp.Body.Close()
-		if err != nil {
+		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+			if err = take(resp); err == nil {
+				return nil
+			}
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return ctxErr
 			}
 			lastErr = fmt.Errorf("client: read response: %w", err)
 			continue
 		}
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			if out == nil || len(data) == 0 {
-				return nil
-			}
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
-			}
-			return nil
-		}
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		resp.Body.Close()
 		apiErr := api.DecodeErrorBody(resp.StatusCode, data)
 		if retriableStatus(resp.StatusCode) {
 			lastErr = apiErr
@@ -295,43 +313,15 @@ func (c *Client) Subtree(ctx context.Context, name string, req api.SubtreeReques
 // SnapshotGet downloads the serialized synopsis; the caller must Close the
 // reader. Feed it to xseed.ReadSynopsis to rehydrate locally. The download
 // is a bodyless GET, so it retries per WithRetry like every other
-// idempotent call.
+// idempotent call; the body of the attempt that succeeds comes back
+// unread.
 func (c *Client) SnapshotGet(ctx context.Context, name string) (io.ReadCloser, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(retryDelay(attempt, c.backoff, c.backoffCap, jitter)):
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+synPath(name, "/snapshot"), nil)
-		if err != nil {
-			return nil, err
-		}
-		c.authorize(req)
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			resp.Body.Close()
-			apiErr := api.DecodeErrorBody(resp.StatusCode, data)
-			if retriableStatus(resp.StatusCode) {
-				lastErr = apiErr
-				continue
-			}
-			return nil, apiErr
-		}
-		return resp.Body, nil
-	}
-	return nil, lastErr
+	var snapshot io.ReadCloser
+	err := c.send(ctx, http.MethodGet, synPath(name, "/snapshot"), nil, true, func(resp *http.Response) error {
+		snapshot = resp.Body
+		return nil
+	})
+	return snapshot, err
 }
 
 // SnapshotPut registers (or replaces) the named synopsis from a serialized

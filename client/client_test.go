@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -202,8 +203,8 @@ func TestClientCancellation(t *testing.T) {
 	}
 }
 
-// TestClientRetry: idempotent calls survive transient 503s; non-idempotent
-// calls never retry.
+// TestClientRetry: idempotent calls, snapshot downloads among them, survive
+// transient 503s; non-idempotent calls never retry.
 func TestClientRetry(t *testing.T) {
 	var gets, posts atomic.Int64
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -231,6 +232,22 @@ func TestClientRetry(t *testing.T) {
 	}
 	if got := gets.Load(); got != 3 {
 		t.Errorf("GET attempts = %d, want 3", got)
+	}
+
+	// A snapshot download rides the same loop and hands back the unread
+	// body of the attempt that succeeds.
+	gets.Store(0)
+	rc, err := c.SnapshotGet(context.Background(), "x")
+	if err != nil {
+		t.Fatalf("snapshot get with retries = %v", err)
+	}
+	body, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || string(body) != "ok\n" {
+		t.Fatalf("snapshot body = %q, %v; want %q", body, err, "ok\n")
+	}
+	if got := gets.Load(); got != 3 {
+		t.Errorf("snapshot GET attempts = %d, want 3", got)
 	}
 
 	err = c.Feedback(context.Background(), "/a", 1)

@@ -91,23 +91,21 @@ func (l *LocalEstimator) EstimateBatch(ctx context.Context, queries []string) ([
 }
 
 // Feedback records an executed query's actual cardinality into the
-// synopsis (self-tuning).
+// synopsis (self-tuning): a FeedbackBatch of one item.
 func (l *LocalEstimator) Feedback(ctx context.Context, query string, actual float64) error {
-	if err := ctx.Err(); err != nil {
+	errs, err := l.FeedbackBatch(ctx, []FeedbackObs{{Query: query, Actual: actual}})
+	if err != nil {
 		return err
 	}
-	q, err := ParseQuery(query)
-	if err != nil {
-		return api.WrapError(err, api.CodeBadRequest)
-	}
-	l.syn.FeedbackQuery(q, actual)
-	return nil
+	return errs[0]
 }
 
 // FeedbackBatch applies each observation in order with deferred snapshot
 // publication and publishes at most one successor covering the batch (none
-// when the batch changed nothing an estimate reads). Parse failures are
-// per-item; cancellation fails the whole call.
+// when the batch changed nothing an estimate reads). A bad actual
+// (api.CheckActual) and then a parse failure are per-item errors, checked
+// in that order as the served backends check them; cancellation fails the
+// whole call.
 func (l *LocalEstimator) FeedbackBatch(ctx context.Context, items []FeedbackObs) ([]error, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -115,6 +113,10 @@ func (l *LocalEstimator) FeedbackBatch(ctx context.Context, items []FeedbackObs)
 	errs := make([]error, len(items))
 	applied := false
 	for i, it := range items {
+		if aerr := api.CheckActual(it.Actual); aerr != nil {
+			errs[i] = aerr
+			continue
+		}
 		q, err := ParseQuery(it.Query)
 		if err != nil {
 			errs[i] = api.WrapError(err, api.CodeBadRequest)

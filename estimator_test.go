@@ -3,10 +3,12 @@ package xseed
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"xseed/api"
+	"xseed/internal/fixtures"
 )
 
 const estimatorTestXML = "<a><c><s><t/><p/></s><s><s><t/></s></s></c><c><s><t/></s></c></a>"
@@ -109,5 +111,52 @@ func TestLocalEstimatorCancellation(t *testing.T) {
 	}
 	if err := est.Feedback(ctx, "/a/c/s", 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled feedback = %v, want context.Canceled", err)
+	}
+}
+
+// TestLocalEstimatorRejectsBadActual: the embedded backend refuses an
+// actual count that is NaN, infinite or negative as the served backends
+// do (api.CheckActual): a bad_request alone, through LocalEstimator and
+// Synopsis alike, and as one item of a batch whose other items apply. The
+// synopsis never serves the refused count.
+func TestLocalEstimatorRejectsBadActual(t *testing.T) {
+	doc, err := ParseXMLString(fixtures.PaperFigure2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := BuildSynopsis(doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := syn.Estimate("/a/c/s"); err != nil || got != 5 {
+		t.Fatalf("/a/c/s estimates %v, %v before feedback; want 5", got, err)
+	}
+	est := NewLocalEstimator(syn)
+	ctx := context.Background()
+	isBadRequest := func(err error) bool {
+		var ae *api.Error
+		return errors.As(err, &ae) && ae.Code == api.CodeBadRequest
+	}
+	for _, actual := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		if err := est.Feedback(ctx, "/a/c/s", actual); !isBadRequest(err) {
+			t.Errorf("LocalEstimator.Feedback of %v = %v, want a bad_request *api.Error", actual, err)
+		}
+		if err := syn.Feedback("/a/c/s", actual); !isBadRequest(err) {
+			t.Errorf("Synopsis.Feedback of %v = %v, want a bad_request *api.Error", actual, err)
+		}
+		errs, err := est.FeedbackBatch(ctx, []FeedbackObs{
+			{Query: "/a/c/p", Actual: 7}, {Query: "/a/c/s", Actual: actual}, {Query: "/a/t", Actual: 3},
+		})
+		if err != nil || len(errs) != 3 {
+			t.Fatalf("batch with %v = %v, %v", actual, errs, err)
+		}
+		if errs[0] != nil || errs[2] != nil || !isBadRequest(errs[1]) {
+			t.Fatalf("batch with %v: item errors %v, want only the middle one, a bad_request", actual, errs)
+		}
+	}
+	for q, want := range map[string]float64{"/a/c/s": 5, "/a/c/p": 7, "/a/t": 3} {
+		if got, err := syn.Estimate(q); err != nil || got != want {
+			t.Errorf("%s estimates %v, %v; want %v", q, got, err, want)
+		}
 	}
 }

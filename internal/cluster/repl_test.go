@@ -132,7 +132,8 @@ func feedback(t testing.TB, h *storeHost, key string, syn *xseed.Synopsis, query
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, delta, applied := syn.FeedbackQueryDelta(q, actual)
+	_, delta, applied := syn.FeedbackQueryDeltaDeferred(q, actual)
+	syn.Publish()
 	if !applied {
 		t.Fatalf("feedback %s not applied", query)
 	}

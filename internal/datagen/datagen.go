@@ -1,8 +1,9 @@
 // Package datagen generates deterministic synthetic XML documents that
-// stand in for the paper's experimental datasets (DESIGN.md Section 4
-// documents each substitution). Every generator is an xmldoc.Source: it can
-// be replayed into any sink (document builder, kernel builder, XML writer)
-// and produces the identical stream for a fixed seed and scale factor.
+// stand in for the paper's experimental datasets (the per-dataset bullets
+// below say what each one reproduces). Every generator is an
+// xmldoc.Source: it can be replayed into any sink (document builder,
+// kernel builder, XML writer) and produces the identical stream for a
+// fixed seed and scale factor.
 //
 // The generators reproduce the structural characteristics the XSEED
 // experiments depend on, not the text content:

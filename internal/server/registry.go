@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -1177,59 +1176,18 @@ func (r *Registry) finishBatch(ctx context.Context, b *estBatch) ([]api.Estimate
 }
 
 // Feedback records an executed query's actual cardinality into the named
-// synopsis (self-tuning) and the entry's accuracy accumulator; the applied
-// mutation publishes a successor estimation snapshot, retiring the
-// synopsis's cached estimates. Parse failures are typed *api.Error values
-// with the parse offset in the detail — the same api.WrapError path
-// EstimateBatch reports per-query errors through, so a Registry caller (or
-// the HTTP layer) sees one error shape regardless of endpoint.
+// synopsis: a FeedbackBatch of one item, whose error it returns. Parse
+// failures are typed *api.Error values with the parse offset in the detail
+// — the same api.WrapError path EstimateBatch reports per-query errors
+// through, so a Registry caller (or the HTTP layer) sees one error shape
+// regardless of endpoint.
 func (r *Registry) Feedback(name, query string, actual float64) error {
-	e, err := r.Get(name)
+	errs, err := r.FeedbackBatch(name, []api.FeedbackItem{{Query: query, Actual: actual}})
 	if err != nil {
 		return err
 	}
-	if err := checkActual(actual); err != nil {
-		return err
-	}
-	q, err := xseed.ParseQuery(query)
-	if err != nil {
-		return api.WrapError(err, api.CodeBadRequest)
-	}
-	if !e.syn.HasHET() {
-		// Kernel-only: feedback cannot change the synopsis, so record the
-		// accuracy observation against the current snapshot — lock-free,
-		// like any estimate — and keep the cache warm.
-		est := e.syn.Snapshot().EstimateQuery(q)
-		e.acc.Add(est, actual)
-		qv := qerrValue(est, actual)
-		e.qerr.Observe(qv)
-		e.ten.qerr.Observe(qv)
-		e.feedbacks.Add(1)
-		return nil
-	}
-	r.mu.RLock()
-	st := r.st
-	r.mu.RUnlock()
-	op := &fbOp{q: q, actual: actual, done: make(chan struct{})}
-	r.runFeedback(e, st, []*fbOp{op})
-	e.acc.Add(op.est, actual)
-	qv := qerrValue(op.est, actual)
-	e.qerr.Observe(qv)
-	e.ten.qerr.Observe(qv)
-	e.feedbacks.Add(1)
-	if op.err != nil {
-		return op.err
-	}
-	return nil
-}
-
-// checkActual rejects an actual cardinality that is NaN, infinite or
-// negative. Such a value would become a card the synopsis serves, and one
-// its log cannot hold (JSON has no NaN or infinity), so the served synopsis
-// and what a restart or a standby rebuilds would part.
-func checkActual(actual float64) *api.Error {
-	if math.IsNaN(actual) || math.IsInf(actual, 0) || actual < 0 {
-		return api.Errorf(api.CodeBadRequest, "actual cardinality %v is not a finite count >= 0", actual)
+	if errs[0] != nil {
+		return errs[0]
 	}
 	return nil
 }
@@ -1252,6 +1210,9 @@ type fbOp struct {
 // every op is applied AND durable. ops must be non-empty; they are enqueued
 // contiguously, so one drain round processes them all.
 func (r *Registry) runFeedback(e *Entry, st *store.Store, ops []*fbOp) {
+	for _, op := range ops {
+		op.done = make(chan struct{})
+	}
 	e.fbMu.Lock()
 	e.fbQueue = append(e.fbQueue, ops...)
 	publisher := !e.fbActive
@@ -1357,44 +1318,21 @@ func logRound(st *store.Store, name string, ops []*fbOp, deltas []xseed.HETDelta
 // FeedbackBatch records a batch of observations against one synopsis with
 // partial-success semantics: one *api.Error slot per item in request order
 // (nil = absorbed, and durable to the store's configured discipline), plus
-// a whole-call error when the synopsis itself is unavailable. The batch
-// coalesces into at most one snapshot publication and rides one
-// group-commit flush, which is what makes bulk feedback cheap.
+// a whole-call error when the synopsis itself is unavailable. Each item's
+// actual is checked (api.CheckActual) before its query is parsed. The
+// batch coalesces into at most one snapshot publication and rides one
+// group-commit flush, which is what makes bulk feedback cheap. Every op
+// also lands in the entry's accuracy accumulator and q-error histograms.
 func (r *Registry) FeedbackBatch(name string, items []api.FeedbackItem) ([]*api.Error, error) {
 	e, err := r.Get(name)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*api.Error, len(items))
-	if !e.syn.HasHET() {
-		// Kernel-only: feedback cannot change the synopsis; record accuracy
-		// observations lock-free against the current snapshot.
-		sn := e.syn.Snapshot()
-		for i, it := range items {
-			if out[i] = checkActual(it.Actual); out[i] != nil {
-				continue
-			}
-			q, perr := xseed.ParseQuery(it.Query)
-			if perr != nil {
-				out[i] = api.WrapError(perr, api.CodeBadRequest)
-				continue
-			}
-			est := sn.EstimateQuery(q)
-			e.acc.Add(est, it.Actual)
-			qv := qerrValue(est, it.Actual)
-			e.qerr.Observe(qv)
-			e.ten.qerr.Observe(qv)
-			e.feedbacks.Add(1)
-		}
-		return out, nil
-	}
-	r.mu.RLock()
-	st := r.st
-	r.mu.RUnlock()
 	ops := make([]*fbOp, 0, len(items))
 	idx := make([]int, 0, len(items))
 	for i, it := range items {
-		if out[i] = checkActual(it.Actual); out[i] != nil {
+		if out[i] = api.CheckActual(it.Actual); out[i] != nil {
 			continue
 		}
 		q, perr := xseed.ParseQuery(it.Query)
@@ -1402,21 +1340,33 @@ func (r *Registry) FeedbackBatch(name string, items []api.FeedbackItem) ([]*api.
 			out[i] = api.WrapError(perr, api.CodeBadRequest)
 			continue
 		}
-		ops = append(ops, &fbOp{q: q, actual: it.Actual, done: make(chan struct{})})
+		ops = append(ops, &fbOp{q: q, actual: it.Actual})
 		idx = append(idx, i)
 	}
 	if len(ops) == 0 {
 		return out, nil
 	}
-	r.runFeedback(e, st, ops)
+	if e.syn.HasHET() {
+		r.mu.RLock()
+		st := r.st
+		r.mu.RUnlock()
+		r.runFeedback(e, st, ops)
+	} else {
+		// Kernel-only: feedback cannot change the synopsis, so each op is
+		// an accuracy observation against one pinned snapshot — lock-free,
+		// like any estimate — and the cache stays warm.
+		sn := e.syn.Snapshot()
+		for _, op := range ops {
+			op.est = sn.EstimateQuery(op.q)
+		}
+	}
 	for j, op := range ops {
-		i := idx[j]
-		e.acc.Add(op.est, items[i].Actual)
-		qv := qerrValue(op.est, items[i].Actual)
+		e.acc.Add(op.est, op.actual)
+		qv := qerrValue(op.est, op.actual)
 		e.qerr.Observe(qv)
 		e.ten.qerr.Observe(qv)
 		e.feedbacks.Add(1)
-		out[i] = op.err
+		out[idx[j]] = op.err
 	}
 	return out, nil
 }

@@ -71,11 +71,12 @@ func (s *service) finishEstimate(ctx context.Context, b *estBatch) ([]api.Estima
 	return items, nil
 }
 
-// feedback records one executed query's actual cardinality into name. The
-// second result fails the request whole (an empty query, a refused
-// admission); the first is the record's own outcome from the registry — an
-// unknown synopsis, a parse failure, a persist failure — which xtp acks per
-// record (docs/PROTOCOL.md §4.5).
+// feedback records one executed query's actual cardinality into name, as
+// a registry feedback batch of one item. The second result fails the
+// request whole (an empty query, a refused admission); the first is the
+// record's own outcome — an unknown synopsis, a bad actual, a parse
+// failure, a persist failure — which xtp acks per record
+// (docs/PROTOCOL.md §4.5).
 func (s *service) feedback(t *Tenant, name, query string, actual float64) (outcome, aerr *api.Error) {
 	if query == "" {
 		return nil, api.Errorf(api.CodeBadRequest, "missing query")
@@ -84,10 +85,11 @@ func (s *service) feedback(t *Tenant, name, query string, actual float64) (outco
 	if aerr != nil {
 		return nil, aerr
 	}
-	if err := s.reg.Feedback(key, query, actual); err != nil {
+	errs, err := s.reg.FeedbackBatch(key, []api.FeedbackItem{{Query: query, Actual: actual}})
+	if err != nil {
 		return toAPIError(err), nil
 	}
-	return nil, nil
+	return errs[0], nil
 }
 
 // feedbackBatch records a batch of observations into name. The batch costs

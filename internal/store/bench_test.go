@@ -45,7 +45,8 @@ func BenchmarkStoreFeedbackPersisted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, delta, applied := syn.FeedbackQueryDelta(q, float64(i%17+1))
+		_, delta, applied := syn.FeedbackQueryDeltaDeferred(q, float64(i%17+1))
+		syn.Publish()
 		if !applied {
 			b.Fatal("feedback not applied")
 		}
@@ -101,7 +102,8 @@ func BenchmarkStoreCompact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for j := 0; j < 256; j++ {
-			_, delta, _ := syn.FeedbackQueryDelta(q, float64(j%17+1))
+			_, delta, _ := syn.FeedbackQueryDeltaDeferred(q, float64(j%17+1))
+			syn.Publish()
 			if err := st.AppendFeedback("bench", delta); err != nil {
 				b.Fatal(err)
 			}

@@ -35,7 +35,8 @@ func batchFeedback(t testing.TB, st *Store, synMu *sync.Mutex, syn *xseed.Synops
 		t.Fatal(err)
 	}
 	synMu.Lock()
-	_, delta, applied := syn.FeedbackQueryDelta(q, actual)
+	_, delta, applied := syn.FeedbackQueryDeltaDeferred(q, actual)
+	syn.Publish()
 	if !applied {
 		synMu.Unlock()
 		t.Fatalf("feedback %s not applied", query)
@@ -58,7 +59,8 @@ func enqFeedback(t testing.TB, st *Store, syn *xseed.Synopsis, query string, act
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, delta, applied := syn.FeedbackQueryDelta(q, actual)
+	_, delta, applied := syn.FeedbackQueryDeltaDeferred(q, actual)
+	syn.Publish()
 	if !applied {
 		t.Fatalf("feedback %s not applied", query)
 	}

@@ -63,7 +63,8 @@ func TestShortWriteKeepsLaterAcks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, delta, applied := syn.FeedbackQueryDelta(q, float64(2+i))
+				_, delta, applied := syn.FeedbackQueryDeltaDeferred(q, float64(2+i))
+				syn.Publish()
 				if !applied {
 					t.Fatalf("feedback %s not applied", queries[i])
 				}

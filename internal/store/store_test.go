@@ -42,7 +42,8 @@ func feedback(t testing.TB, st *Store, name string, syn *xseed.Synopsis, query s
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, delta, applied := syn.FeedbackQueryDelta(q, actual)
+	_, delta, applied := syn.FeedbackQueryDeltaDeferred(q, actual)
+	syn.Publish()
 	if !applied {
 		t.Fatalf("feedback %s not applied", query)
 	}

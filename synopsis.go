@@ -8,6 +8,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"xseed/api"
 	"xseed/internal/estimate"
 	"xseed/internal/het"
 	"xseed/internal/kernel"
@@ -295,29 +296,29 @@ func (s *Synopsis) SetBudget(totalBytes int) {
 }
 
 // Feedback records an executed query's actual cardinality into the HET
-// (self-tuning; paper Figure 1). It is a no-op on kernel-only synopses.
+// (self-tuning; paper Figure 1). It is a no-op on kernel-only synopses. An
+// actual that is NaN, infinite or negative is refused as a bad_request
+// *api.Error (api.CheckActual), as the served backends refuse it.
 func (s *Synopsis) Feedback(query string, actual float64) error {
+	if aerr := api.CheckActual(actual); aerr != nil {
+		return aerr
+	}
 	q, err := xpath.Parse(query)
 	if err != nil {
 		return err
 	}
-	s.FeedbackQuery(&Query{p: q}, actual)
+	if _, _, applied := s.FeedbackQueryDeltaDeferred(&Query{p: q}, actual); applied {
+		s.publish()
+	}
 	return nil
-}
-
-// FeedbackQuery is Feedback for a pre-parsed query. It returns the estimate
-// the synopsis produced before absorbing the feedback (0 without an HET), so
-// servers tracking accuracy don't have to pay for a second estimate.
-func (s *Synopsis) FeedbackQuery(q *Query, actual float64) (estBefore float64) {
-	estBefore, _, _ = s.FeedbackQueryDelta(q, actual)
-	return estBefore
 }
 
 // HETDelta is the persistable effect of one feedback call on the hyper-edge
 // table: re-applying it with ApplyHETDelta reproduces the table mutation
 // without re-running estimation, which is what makes O(delta) durability
 // possible (internal/store appends these to a log instead of rewriting the
-// synopsis).
+// synopsis). Its fields are het.Entry's, in the same order, so each converts
+// to the other.
 type HETDelta struct {
 	Hash    uint32  `json:"hash"`
 	Pattern bool    `json:"pattern,omitempty"`
@@ -327,25 +328,23 @@ type HETDelta struct {
 	Err     float64 `json:"err,omitempty"`
 }
 
-// FeedbackQueryDelta is FeedbackQuery exposing the HET mutation it caused.
-// applied is false when the synopsis has no HET or the query shape is one
-// the HET ignores (nothing changed; cached estimates stay valid). Applied
-// feedback that changes no value an estimate reads, such as a card the
-// table already holds, keeps the current snapshot too.
-func (s *Synopsis) FeedbackQueryDelta(q *Query, actual float64) (estBefore float64, delta HETDelta, applied bool) {
-	estBefore, delta, applied = s.FeedbackQueryDeltaDeferred(q, actual)
-	if applied {
-		s.publish()
-	}
-	return estBefore, delta, applied
-}
-
-// FeedbackQueryDeltaDeferred is FeedbackQueryDelta without the snapshot
-// publication: the HET mutates but readers keep estimating against the
-// previous snapshot until the caller invokes Publish. It exists for batched
-// feedback — applying N deltas and publishing once pays one view
-// derivation, one snapshot and one EPT rebuild for the batch — and shares
-// FeedbackQuery's external-serialization contract for mutators.
+// FeedbackQueryDeltaDeferred records a pre-parsed query's actual
+// cardinality into the HET without publishing a snapshot: the HET mutates,
+// but readers keep estimating against the previous snapshot until the
+// caller invokes Publish. Applying N observations and publishing once pays
+// one view derivation, one snapshot and one EPT rebuild for the batch.
+//
+// It returns the estimate the synopsis produced before absorbing the
+// observation (0 without an HET), so callers tracking accuracy need no
+// second estimate, and the HET mutation it caused. applied is false when
+// the synopsis has no HET or the query shape is one the HET ignores
+// (nothing changed; cached estimates stay valid). Applied feedback that
+// changes no value an estimate reads, such as a card the table already
+// holds, makes Publish keep the current snapshot.
+//
+// The caller checks actual first (api.CheckActual): this call absorbs
+// whatever count it is given. Like every mutator it must be externally
+// serialized.
 func (s *Synopsis) FeedbackQueryDeltaDeferred(q *Query, actual float64) (estBefore float64, delta HETDelta, applied bool) {
 	if s.tab == nil {
 		return 0, HETDelta{}, false
@@ -362,14 +361,7 @@ func (s *Synopsis) FeedbackQueryDeltaDeferred(q *Query, actual float64) (estBefo
 	if !applied {
 		return estBefore, HETDelta{}, false
 	}
-	return estBefore, HETDelta{
-		Hash:    e.Hash,
-		Pattern: e.Pattern,
-		Card:    e.Card,
-		Bsel:    e.Bsel,
-		BselOK:  e.BselOK,
-		Err:     e.Err,
-	}, true
+	return estBefore, HETDelta(e), true
 }
 
 // Publish installs one successor snapshot covering every deferred mutation
@@ -385,14 +377,7 @@ func (s *Synopsis) ApplyHETDelta(d HETDelta) {
 	if s.tab == nil {
 		return
 	}
-	s.tab.Add(het.Entry{
-		Hash:    d.Hash,
-		Pattern: d.Pattern,
-		Card:    d.Card,
-		Bsel:    d.Bsel,
-		BselOK:  d.BselOK,
-		Err:     d.Err,
-	})
+	s.tab.Add(het.Entry(d))
 	s.publish()
 }
 

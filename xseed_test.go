@@ -511,10 +511,11 @@ func TestFeedbackDeltaReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, delta, applied := fed.FeedbackQueryDelta(pq, actual)
+		_, delta, applied := fed.FeedbackQueryDeltaDeferred(pq, actual)
 		if !applied {
 			t.Fatalf("feedback %s not applied", q)
 		}
+		fed.Publish()
 		replica.ApplyHETDelta(delta)
 	}
 	for _, q := range []string{"/a/c/s/s/t", "/a/c/s[t]/p", "/a/c/s", "//s//s//p"} {
